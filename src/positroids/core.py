@@ -71,11 +71,6 @@ def pred(i: int, n: int) -> int:
     return (i - 2) % n + 1
 
 
-def cyclic_key(x: int, t: int, n: int) -> int:
-    """Rank of x in the order t < t+1 < ... < t-1, as an int in 0..n-1."""
-    return (x - t) % n
-
-
 def cyclic_lt(a: int, b: int, t: int, n: int) -> bool:
     """Strict comparison in the shifted cyclic order starting at t.
 
@@ -172,7 +167,9 @@ def _gale_key_direct(n: int, t: int, mask: int) -> tuple[int, ...]:
     return tuple(sorted((p + 1 - t) % n for p in range(n) if mask >> p & 1))
 
 
-@lru_cache(maxsize=None)
+# An exhaustive sweep at n = 6 asks for at most 6 * 2^6 keys; the bound keeps
+# a long-lived process from growing towards 16 * 2^16 of them.
+@lru_cache(maxsize=1 << 16)
 def _gale_key_cached(n: int, t: int, mask: int) -> tuple[int, ...]:
     return _gale_key_direct(n, t, mask)
 
@@ -220,6 +217,8 @@ def in_cyclic_interval(x: int, a: int, b: int, n: int) -> bool:
     Reading clockwise from a, the interval collects everything after a and
     before b.  Endpoints a and b must differ.
     """
+    if not (1 <= x <= n and 1 <= a <= n and 1 <= b <= n):
+        raise ValidationError(f"element {x!r} and endpoints {a!r}, {b!r} must lie in 1..{n}")
     if a == b:
         raise ValidationError("open cyclic interval needs distinct endpoints")
     return x != a and (x - a) % n < (b - a) % n
@@ -324,6 +323,10 @@ class GrassmannNecklace:
     """
 
     entries: tuple[Subset, ...]
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ValidationError("a Grassmann necklace needs at least one entry")
 
     @property
     def n(self) -> int:

@@ -9,7 +9,6 @@ all n! * 2^(fixed points) decorated permutations, so n is capped.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -43,6 +42,11 @@ from .minors import (
 )
 
 ENUMERATION_CAP = 10
+
+# Families the per-sweep bases memo holds before it starts over: every
+# necklace of n = 7 fits (13,700 decorated permutations), at under 200 bytes
+# a family (1,957 families of n = 6 take 0.3 MB).
+BASES_MEMO_CAP = 1 << 14
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
 
@@ -84,9 +88,14 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
 
 def is_positroid(family: BasisFamily) -> bool:
     """Whether the family is exactly cut out by its own Gale minima."""
+    return _is_positroid(family, bases_of)
+
+
+def _is_positroid(family, bases):
+    """is_positroid with the necklace-to-bases function passed in."""
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
-    return bases_of(oracle_necklace(family)).bases == family.bases
+    return bases(oracle_necklace(family)).bases == family.bases
 
 
 def check_matroid(family: BasisFamily) -> bool:
@@ -171,9 +180,10 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
             failures.append("commutation")
             break
     swap = contraction_swap if kind is MinorKind.CONTRACTION else restriction_swap
+    swaps = [swap(necklace, j, a) for a in range(1, n + 1)]
     for a in range(1, n + 1):
-        here = swap(necklace, j, a)
-        there = swap(necklace, j, succ(a, n))
+        here = swaps[a - 1]
+        there = swaps[a % n]  # the swap at succ(a, n)
         if kind is MinorKind.CONTRACTION:
             carried = p.image(a) == there and result.image(a) == here
         else:
@@ -185,13 +195,14 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
     return failures
 
 
-def _verify_instance(p, necklace, family, j, kind):
+def _verify_instance(p, necklace, family, j, kind, bases):
     """Run every oracle comparison for one (perm, j, kind) instance.
 
     Returns (degenerate, failure tags).  Degenerate instances only assert
     the identity convention; everything else is checked against the brute
     force route and the structural expectations (j becomes a loop, rank
-    drops by one under contraction and holds under restriction).
+    drops by one under contraction and holds under restriction).  `bases`
+    is the sweep's bases_of memo.
     """
     failures = []
     n, k = family.n, family.k
@@ -203,7 +214,7 @@ def _verify_instance(p, necklace, family, j, kind):
             return True, failures
         oracle_family = oracle_contract(family, j)
         result_necklace = necklace_of(result)
-        if bases_of(result_necklace).bases != oracle_family.bases:
+        if bases(result_necklace).bases != oracle_family.bases:
             failures.append("oracle")
         minor_necklace = contract_necklace(necklace, j)
         through = BasisFamily(n, k, frozenset(h for h in family.bases if j in h))
@@ -219,7 +230,7 @@ def _verify_instance(p, necklace, family, j, kind):
                 failures.append("convention")
         else:
             failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-        if not is_positroid(oracle_family):
+        if not _is_positroid(oracle_family, bases):
             failures.append("closure")
         if loop_coloop_status(result, j) != "loop" or result_necklace.k != k - 1:
             failures.append("structure")
@@ -231,7 +242,7 @@ def _verify_instance(p, necklace, family, j, kind):
             return True, failures
         oracle_family = oracle_delete(family, j)
         result_necklace = necklace_of(result)
-        if bases_of(result_necklace).bases != oracle_family.bases:
+        if bases(result_necklace).bases != oracle_family.bases:
             failures.append("oracle")
         minor_necklace = restrict_necklace(necklace, j)
         avoiding = BasisFamily(n, k, frozenset(h for h in family.bases if j not in h))
@@ -244,11 +255,47 @@ def _verify_instance(p, necklace, family, j, kind):
                 failures.append("convention")
         else:
             failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-        if not is_positroid(oracle_family):
+        if not _is_positroid(oracle_family, bases):
             failures.append("closure")
         if loop_coloop_status(result, j) != "loop" or result_necklace.k != k:
             failures.append("structure")
     return False, failures
+
+
+class _BasesMemo:
+    """bases_of for one sweep, memoised on the necklace's entry masks.
+
+    A basis is a k-subset Gale-above every entry, so the family depends on
+    the entry masks alone.  Each family is kept as one int whose bit m is
+    set when the subset with mask m is a basis, and comes back built from a
+    table of shared Subsets, keyed by mask: one memo serves one ground set
+    size.  At BASES_MEMO_CAP families the memo starts over.
+    """
+
+    def __init__(self):
+        self.families: dict[tuple[int, ...], int] = {}
+        self.subsets: dict[int, Subset] = {}
+
+    def __call__(self, necklace: GrassmannNecklace) -> BasisFamily:
+        key = tuple(e.mask for e in necklace.entries)
+        bits = self.families.get(key)
+        if bits is None:
+            family = bases_of(necklace)
+            if len(self.families) >= BASES_MEMO_CAP:
+                self.families.clear()
+            bits = 0
+            for h in family.bases:
+                bits |= 1 << h.mask
+                self.subsets.setdefault(h.mask, h)
+            self.families[key] = bits
+            return family
+        subsets = self.subsets
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(subsets[low.bit_length() - 1])
+            bits ^= low
+        return BasisFamily(len(key), key[0].bit_count(), frozenset(found))
 
 
 def _sweep(n, kind_values, stride, offset):
@@ -269,18 +316,19 @@ def _sweep(n, kind_values, stride, offset):
         if first_key is None or key < first_key:
             first_key = key
             first_msg = msg
+    bases = _BasesMemo()
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
             continue
         necklace = necklace_of(p)
         if perm_of(necklace) != p:
             record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
-        family = bases_of(necklace)
+        family = bases(necklace)
         if oracle_necklace(family) != necklace:
             record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
         for j in range(1, n + 1):
             for kind in kinds:
-                skipped, fails = _verify_instance(p, necklace, family, j, kind)
+                skipped, fails = _verify_instance(p, necklace, family, j, kind, bases)
                 if skipped:
                     degenerate += 1
                 else:
@@ -324,6 +372,8 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     if jobs == 1:
         parts = [_sweep(n, kind_values, 1, 0)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_star, [(n, kind_values, jobs, off) for off in range(jobs)]))
     elapsed = time.perf_counter() - start

@@ -205,6 +205,10 @@ class TestNecklaceValidation:
         bad = necklace_violations(entries)
         assert any(v.clause == "step" and v.index == 1 for v in bad)
 
+    def test_empty_necklace_rejected(self):
+        with pytest.raises(ValidationError):
+            GrassmannNecklace(())
+
     def test_all_violations_reported(self):
         entries = [Subset.of(3, [1]), Subset.of(3, [3]), Subset.of(3, [2])]
         with pytest.raises(InvalidNecklaceError) as err:

@@ -1,7 +1,12 @@
 """Brute-force minors, recognition, enumeration, and the sweep verifier."""
 
+import gc
+import weakref
+
 import pytest
 
+import positroids.core
+import positroids.oracle
 from positroids import (
     BasisFamily,
     MinorKind,
@@ -136,11 +141,12 @@ class TestVerifyAll:
         assert report.instances_checked + report.degenerate_skipped == 16 * 3
 
     def test_parallel_matches_serial(self):
-        serial = verify_all(4, jobs=1)
-        parallel = verify_all(4, jobs=2)
-        for field in ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches",
-                      "check_failures", "first_failure"):
-            assert getattr(serial, field) == getattr(parallel, field)
+        for n in range(1, 6):
+            serial = verify_all(n, jobs=1)
+            parallel = verify_all(n, jobs=2)
+            for field in ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches",
+                          "check_failures", "first_failure"):
+                assert getattr(serial, field) == getattr(parallel, field)
 
     def test_report_obj(self):
         obj = verify_all(2).to_obj()
@@ -154,3 +160,68 @@ class TestVerifyAll:
             verify_all(2, kinds=set())
         with pytest.raises(ValidationError):
             verify_all(2, jobs=0)
+
+
+class TestBasesMemo:
+    """The per-sweep bases memo answers exactly as bases_of and hides nothing."""
+
+    def test_matches_bases_of_on_miss_and_hit(self):
+        memo = positroids.oracle._BasesMemo()
+        for p in enumerate_decorated_perms(4):
+            necklace = necklace_of(p)
+            expected = bases_of(necklace)
+            assert memo(necklace) == expected  # miss
+            assert memo(necklace) == expected  # hit
+
+    def test_clears_when_full(self, monkeypatch):
+        monkeypatch.setattr(positroids.oracle, "BASES_MEMO_CAP", 3)
+        memo = positroids.oracle._BasesMemo()
+        for p in enumerate_decorated_perms(3):
+            necklace = necklace_of(p)
+            assert memo(necklace) == bases_of(necklace)
+            assert len(memo.families) <= 3
+        report = verify_all(4)
+        assert (report.instances_checked, report.degenerate_skipped, report.mismatches) == (392, 128, 0)
+
+    @pytest.mark.parametrize("op", ["contract", "restrict"])
+    def test_wrong_minor_is_reported(self, monkeypatch, op):
+        # The last permutation of n = 4, after every necklace of n = 4 has
+        # gone through the memo, so the wrong result's bases come from a hit.
+        target, j = parse_perm("4,3,2,1"), 2
+        real = getattr(positroids.oracle, op)
+
+        def wrong(p, jj):
+            result = real(p, jj)
+            if p == target and jj == j:
+                return result.with_color(j, -1)  # j a coloop instead of a loop
+            return result
+
+        monkeypatch.setattr(positroids.oracle, op, wrong)
+        report = verify_all(4)
+        kind = "contraction" if op == "contract" else "restriction"
+        assert report.mismatches > 0
+        assert report.check_failures.get("oracle", 0) > 0
+        assert report.first_failure.startswith(f"n=4 perm=4,3,2,1 j=2 kind={kind}: ")
+        assert "oracle" in report.first_failure.split(": ", 1)[1].split(", ")
+
+    def test_memo_does_not_outlive_the_sweep(self, monkeypatch):
+        made = []
+
+        class Recorded(positroids.oracle._BasesMemo):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(positroids.oracle, "_BasesMemo", Recorded)
+        report = verify_all(4)
+        assert report.mismatches == 0
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+
+
+def test_gale_key_cache_is_bounded():
+    cached = positroids.core._gale_key_cached
+    assert cached.cache_info().maxsize is not None
+    verify_all(5)
+    info = cached.cache_info()
+    assert 0 < info.currsize <= info.maxsize

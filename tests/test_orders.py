@@ -167,3 +167,14 @@ def test_in_cyclic_interval():
 def test_in_cyclic_interval_rejects_equal_endpoints():
     with pytest.raises(ValidationError):
         in_cyclic_interval(1, 2, 2, 4)
+
+
+def test_in_cyclic_interval_rejects_out_of_range_operands():
+    with pytest.raises(ValidationError):
+        in_cyclic_interval(9, 1, 3, 4)
+    with pytest.raises(ValidationError):
+        in_cyclic_interval(2, 0, 3, 4)
+    with pytest.raises(ValidationError):
+        in_cyclic_interval(2, 1, 5, 4)
+    with pytest.raises(ValidationError):
+        in_cyclic_interval(1, 1, 2, 0)
