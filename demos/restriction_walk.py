@@ -2,8 +2,9 @@
 Restricting away an element
 ===========================
 
-Restriction (deletion of one element) runs the same machinery as
-contraction with the circle read the other way round.
+Restriction (deletion of one element) is contraction in the dual: the
+dual positroid inverts the permutation and negates its fixed-point colors,
+and deleting j is dualising, contracting j and dualising back.
 """
 
 from positroids import (

@@ -209,7 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("contraction", "restriction", "both"), default="both",
         help="which minors to check (default: both)",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    p_verify.add_argument(
+        "--jobs", type=int, default=1,
+        help="split the sweep this many ways, run by at most one process per core (default: 1)",
+    )
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

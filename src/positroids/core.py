@@ -312,6 +312,16 @@ def loop_coloop_status(p: DecoratedPermutation, i: int) -> str:
     return "coloop" if p.color(i) == -1 else "loop"
 
 
+def dual(p: DecoratedPermutation) -> DecoratedPermutation:
+    """Decorated permutation of the dual positroid.
+
+    The inverse permutation with every fixed-point color negated: the bases
+    of the dual are the complements of the bases of p, so loops and coloops
+    trade places.  dual(dual(p)) == p.
+    """
+    return DecoratedPermutation(p.inverse(), tuple((i, -c) for i, c in p.colors))
+
+
 @dataclass(frozen=True)
 class GrassmannNecklace:
     """Cyclic sequence I_1, ..., I_n of k-subsets obeying the step rule.
@@ -359,10 +369,11 @@ def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
     out = []
     if len(entries) == 0:
         return [NecklaceViolation(0, "shape", "no entries")]
-    n = entries[0].n
     for idx, e in enumerate(entries, start=1):
         if not isinstance(e, Subset):
             raise TypeError(f"entry {idx} is not a Subset")
+    n = entries[0].n
+    for idx, e in enumerate(entries, start=1):
         if e.n != n:
             out.append(NecklaceViolation(idx, "shape", f"ground set n={e.n} differs from n={n}"))
     if out:

@@ -1,15 +1,17 @@
 """Single-element contraction and restriction of positroids.
 
-Both minors act directly on the decorated permutation through a walk around
-the cycle that re-routes images past the chosen element j, and on the
-Grassmann necklace through an entrywise swap formula.  The two routes agree:
-the necklace of the permutation-level minor equals the necklace-level minor.
+Both minors act directly on the decorated permutation and on the Grassmann
+necklace, the latter through an entrywise swap formula.  The two routes
+agree: the necklace of the permutation-level minor equals the necklace-level
+minor.
 
-Contraction walks clockwise from j+1 carrying a displaced image; restriction
-walks counterclockwise from j-1.  Newly created fixed points are loops (+1)
-under contraction and coloops (-1) under restriction: contraction removes j
-from the ground set's bases so a re-routed point lands outside every basis,
-while restriction preserves rank so the point must stay inside all of them.
+Contraction walks clockwise from j+1 carrying a displaced image.  Newly
+created fixed points are loops (+1): contraction removes j from the ground
+set's bases, so a re-routed point lands outside every basis.  Restriction is
+contraction in the dual, M\\j = (M*/j)*, where the dual inverts the
+permutation and negates every fixed-point color (core.dual).  The loops that
+contracting the dual creates come back as coloops (-1): restriction preserves
+rank, so a re-routed point must stay inside every basis.
 
 Degenerate inputs (contracting a loop, deleting a coloop) have no positroid
 minor of the expected rank on the same ground set; by convention they return
@@ -28,12 +30,12 @@ from .core import (
     Subset,
     _check_element,
     cyclic_lt,
+    dual,
     format_perm,
     gale_extremum,
     in_cyclic_interval,
     necklace_of,
     perm_to_obj,
-    pred,
     succ,
 )
 
@@ -150,46 +152,9 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     return GrassmannNecklace(tuple(entries))
 
 
-def _rebuild_colors(p: DecoratedPermutation, mu: list[int], j: int, new_color: int) -> dict[int, int]:
-    colors = {}
-    for i in range(1, p.n + 1):
-        if mu[i - 1] != i:
-            continue
-        if i == j:
-            colors[i] = 1
-        elif p.image(i) == i:
-            colors[i] = p.color(i)
-        else:
-            colors[i] = new_color
-    return colors
-
-
-def _walk(p: DecoratedPermutation, j: int, forward: bool) -> list[int]:
-    """Image list of the minor permutation for a non-fixed j.
-
-    Carries the displaced image q around the cycle (clockwise when
-    contracting, counterclockwise when restricting), swapping it into place
-    wherever the branch test fires, until q comes to rest at the preimage
-    of j.  Positions outside the walk keep their images.
-    """
-    n = p.n
-    mu = list(p.images)
-    mu[j - 1] = j
-    q = p.image(j)
-    a = succ(j, n) if forward else pred(j, n)
-    while p.image(a) != j:
-        pa = p.image(a)
-        if forward:
-            t = succ(a, n)
-            branch = q == a or (cyclic_lt(q, pa, t, n) and cyclic_lt(pa, j, t, n))
-        else:
-            branch = q == a or (cyclic_lt(pa, q, a, n) and cyclic_lt(j, pa, a, n))
-        if branch:
-            mu[a - 1] = q
-            q = pa
-        a = succ(a, n) if forward else pred(a, n)
-    mu[a - 1] = q
-    return mu
+def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
+    # p's fixed points keep their colors; the walk's new ones are loops
+    return {i: p.color(i) if p.image(i) == i else 1 for i in range(1, p.n + 1) if mu[i - 1] == i}
 
 
 def is_degenerate(p: DecoratedPermutation, j: int, kind: MinorKind) -> bool:
@@ -213,8 +178,23 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
         if p.color(j) == -1:
             return p.with_color(j, 1)
         return DecoratedPermutation.identity(p.n, 1)
-    mu = _walk(p, j, forward=True)
-    return DecoratedPermutation.of(tuple(mu), _rebuild_colors(p, mu, j, 1))
+    # Carry the displaced image q clockwise from j+1, swapping it into place
+    # wherever the branch test fires, until q comes to rest at the preimage
+    # of j.  Positions outside the walk keep their images.
+    n = p.n
+    mu = list(p.images)
+    mu[j - 1] = j
+    q = p.image(j)
+    a = succ(j, n)
+    while p.image(a) != j:
+        pa = p.image(a)
+        t = succ(a, n)
+        if q == a or (cyclic_lt(q, pa, t, n) and cyclic_lt(pa, j, t, n)):
+            mu[a - 1] = q
+            q = pa
+        a = t
+    mu[a - 1] = q
+    return DecoratedPermutation.of(tuple(mu), _rebuild_colors(p, mu))
 
 
 def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
@@ -223,15 +203,17 @@ def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     The result lives on the same ground set with j turned into a loop; its
     bases are the bases of p avoiding j.  Deleting a loop changes nothing.
     Deleting a coloop is degenerate and returns the identity with all fixed
-    points +1.
+    points +1.  Otherwise deletion is contraction in the dual: the bases of
+    p avoiding j are the complements of the dual's bases through j, so the
+    walk runs on dual(p), and dualising back leaves j a coloop of the
+    complemented family, recolored as the loop it is after deletion.
     """
     _check_element(j, p.n)
     if p.image(j) == j:
         if p.color(j) == 1:
             return p
         return DecoratedPermutation.identity(p.n, 1)
-    mu = _walk(p, j, forward=False)
-    return DecoratedPermutation.of(tuple(mu), _rebuild_colors(p, mu, j, -1))
+    return dual(contract(dual(p), j)).with_color(j, 1)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ all n! * 2^(fixed points) decorated permutations, so n is capped.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -179,15 +180,14 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
         if necklace_step(minor_necklace.entry(a), a, result.image(a)) != minor_necklace.entry(a + 1):
             failures.append("commutation")
             break
-    swap = contraction_swap if kind is MinorKind.CONTRACTION else restriction_swap
+    contracting = kind is MinorKind.CONTRACTION
+    swap = contraction_swap if contracting else restriction_swap
     swaps = [swap(necklace, j, a) for a in range(1, n + 1)]
     for a in range(1, n + 1):
         here = swaps[a - 1]
         there = swaps[a % n]  # the swap at succ(a, n)
-        if kind is MinorKind.CONTRACTION:
-            carried = p.image(a) == there and result.image(a) == here
-        else:
-            carried = p.image(a) == here and result.image(a) == there
+        top, bottom = (there, here) if contracting else (here, there)
+        carried = p.image(a) == top and result.image(a) == bottom
         inert = result.image(a) == p.image(a) and here == there
         if carried == inert:
             failures.append("square-pattern")
@@ -202,63 +202,45 @@ def _verify_instance(p, necklace, family, j, kind, bases):
     the identity convention; everything else is checked against the brute
     force route and the structural expectations (j becomes a loop, rank
     drops by one under contraction and holds under restriction).  `bases`
-    is the sweep's bases_of memo.
+    is the sweep's bases_of memo.  The per-kind routines are looked up when
+    called, so a patched module binding is the one checked.
     """
     failures = []
     n, k = family.n, family.k
-    if kind is MinorKind.CONTRACTION:
-        result = contract(p, j)
-        if is_degenerate(p, j, kind):
-            if result != DecoratedPermutation.identity(n, 1):
-                failures.append("convention")
-            return True, failures
-        oracle_family = oracle_contract(family, j)
-        result_necklace = necklace_of(result)
-        if bases(result_necklace).bases != oracle_family.bases:
-            failures.append("oracle")
-        minor_necklace = contract_necklace(necklace, j)
-        through = BasisFamily(n, k, frozenset(h for h in family.bases if j in h))
-        if oracle_necklace(through) != minor_necklace:
-            failures.append("necklace-formula")
-        stripped = GrassmannNecklace(tuple(e.discard(j) for e in minor_necklace.entries))
-        if result_necklace != stripped:
-            failures.append("necklace-agreement")
-        if necklace_of(result.with_color(j, -1)) != minor_necklace:
-            failures.append("color-flip")
-        if p.image(j) == j:
-            if result != p.with_color(j, 1):
-                failures.append("convention")
-        else:
-            failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-        if not _is_positroid(oracle_family, bases):
-            failures.append("closure")
-        if loop_coloop_status(result, j) != "loop" or result_necklace.k != k - 1:
-            failures.append("structure")
+    contracting = kind is MinorKind.CONTRACTION
+    result = (contract if contracting else restrict)(p, j)
+    if is_degenerate(p, j, kind):
+        if result != DecoratedPermutation.identity(n, 1):
+            failures.append("convention")
+        return True, failures
+    oracle_family = (oracle_contract if contracting else oracle_delete)(family, j)
+    result_necklace = necklace_of(result)
+    if bases(result_necklace).bases != oracle_family.bases:
+        failures.append("oracle")
+    minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
+    # the bases through j when contracting, avoiding j when restricting
+    kept = BasisFamily(n, k, frozenset(h for h in family.bases if (j in h) == contracting))
+    if oracle_necklace(kept) != minor_necklace:
+        failures.append("necklace-formula")
+    # contraction's entries carry j, which the loop j of the result lacks;
+    # restriction's must already be free of j, so they are compared as is
+    agreed = minor_necklace
+    if contracting:
+        agreed = GrassmannNecklace(tuple(e.discard(j) for e in minor_necklace.entries))
+    if result_necklace != agreed:
+        failures.append("necklace-agreement")
+    if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
+        failures.append("color-flip")
+    if p.image(j) == j:
+        # a non-degenerate fixed j becomes a loop (a restricted one already is)
+        if result != p.with_color(j, 1):
+            failures.append("convention")
     else:
-        result = restrict(p, j)
-        if is_degenerate(p, j, kind):
-            if result != DecoratedPermutation.identity(n, 1):
-                failures.append("convention")
-            return True, failures
-        oracle_family = oracle_delete(family, j)
-        result_necklace = necklace_of(result)
-        if bases(result_necklace).bases != oracle_family.bases:
-            failures.append("oracle")
-        minor_necklace = restrict_necklace(necklace, j)
-        avoiding = BasisFamily(n, k, frozenset(h for h in family.bases if j not in h))
-        if oracle_necklace(avoiding) != minor_necklace:
-            failures.append("necklace-formula")
-        if result_necklace != minor_necklace:
-            failures.append("necklace-agreement")
-        if p.image(j) == j:
-            if result != p:
-                failures.append("convention")
-        else:
-            failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-        if not _is_positroid(oracle_family, bases):
-            failures.append("closure")
-        if loop_coloop_status(result, j) != "loop" or result_necklace.k != k:
-            failures.append("structure")
+        failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
+    if not _is_positroid(oracle_family, bases):
+        failures.append("closure")
+    if loop_coloop_status(result, j) != "loop" or result_necklace.k != (k - 1 if contracting else k):
+        failures.append("structure")
     return False, failures
 
 
@@ -374,7 +356,9 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # jobs stays the stride, so the partition and the merged report do
+        # not depend on how many workers actually run it
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_sweep_star, [(n, kind_values, jobs, off) for off in range(jobs)]))
     elapsed = time.perf_counter() - start
     check_failures: dict[str, int] = {}

@@ -13,6 +13,7 @@ from positroids import (
     ValidationError,
     bases_of,
     bases_to_obj,
+    dual,
     enumerate_decorated_perms,
     format_bases,
     format_necklace,
@@ -133,6 +134,20 @@ class TestDecoratedPermutation:
         assert loop_coloop_status(p, 3) == "neither"
 
 
+class TestDual:
+    def test_golden(self):
+        q = dual(parse_perm("2,3,1,4+,5-"))
+        assert format_perm(q) == "3,1,2,4-,5+"
+
+    def test_bases_are_the_complements(self):
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            for p in enumerate_decorated_perms(n):
+                family = bases_of(necklace_of(p))
+                complements = frozenset(Subset(n, full ^ h.mask) for h in family.bases)
+                assert bases_of(necklace_of(dual(p))).bases == complements
+
+
 class TestBijection:
     def test_golden_necklace(self):
         p = parse_perm(GOLDEN_PERM)
@@ -204,6 +219,11 @@ class TestNecklaceValidation:
         entries = [Subset.of(3, [1, 2]), Subset.of(3, [3, 1]), Subset.of(3, [3, 1])]
         bad = necklace_violations(entries)
         assert any(v.clause == "step" and v.index == 1 for v in bad)
+
+    def test_entry_that_is_not_a_subset(self):
+        for entries, idx in (([1, 2], 1), ([Subset.of(2, [1]), 2], 2)):
+            with pytest.raises(TypeError, match=f"entry {idx} is not a Subset"):
+                validate_necklace(entries)
 
     def test_empty_necklace_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Brute-force minors, recognition, enumeration, and the sweep verifier."""
 
+import concurrent.futures
 import gc
 import weakref
 
@@ -147,6 +148,35 @@ class TestVerifyAll:
             for field in ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches",
                           "check_failures", "first_failure"):
                 assert getattr(serial, field) == getattr(parallel, field)
+
+    @pytest.mark.parametrize("cores", [2, None])
+    def test_workers_capped_at_core_count(self, monkeypatch, cores):
+        # An in-process stand-in for the pool: records the worker count it is
+        # asked for and maps serially, so no process is started at any jobs.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(positroids.oracle.os, "cpu_count", lambda: cores)
+        serial = verify_all(3)
+        for jobs in (2, 5000):
+            report = verify_all(3, jobs=jobs)
+            for field in ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches",
+                          "check_failures", "first_failure"):
+                assert getattr(report, field) == getattr(serial, field)
+        assert asked == [min(2, cores or 1), cores or 1]
 
     def test_report_obj(self):
         obj = verify_all(2).to_obj()

@@ -11,6 +11,7 @@ from positroids import (
     bases_of,
     contract,
     contract_necklace,
+    dual,
     gale_extremum,
     gale_leq,
     is_degenerate,
@@ -47,16 +48,26 @@ def equal_size_subsets(draw, count, max_n=12):
     return n, t, picks
 
 
-@given(decorated_perms())
-@settings(max_examples=120)
+@given(decorated_perms(max_n=64))
+@settings(max_examples=120, deadline=None)
 def test_perm_necklace_round_trip(p):
     assert perm_of(necklace_of(p)) == p
 
 
-@given(decorated_perms())
-@settings(max_examples=120)
+@given(decorated_perms(max_n=64))
+@settings(max_examples=120, deadline=None)
 def test_necklace_of_is_always_valid(p):
     assert necklace_violations(necklace_of(p).entries) == []
+
+
+@given(decorated_perms(max_n=64))
+@settings(max_examples=120, deadline=None)
+def test_dual_is_an_involution_trading_loops_and_coloops(p):
+    q = dual(p)
+    assert q == DecoratedPermutation.of(q.images, dict(q.colors))  # valid as built
+    assert dual(q) == p
+    for i in p.fixed_points:
+        assert {loop_coloop_status(p, i), loop_coloop_status(q, i)} == {"loop", "coloop"}
 
 
 @given(equal_size_subsets(2))
@@ -123,7 +134,7 @@ def test_minor_rank_and_loop_structure(p, data):
         assert necklace_of(out).k == k
 
 
-@given(decorated_perms(max_n=7), st.data())
+@given(decorated_perms(max_n=64), st.data())
 @settings(max_examples=60, deadline=None)
 def test_color_flip_recovers_contracted_necklace(p, data):
     j = data.draw(st.integers(1, p.n))
@@ -133,7 +144,7 @@ def test_color_flip_recovers_contracted_necklace(p, data):
     assert necklace_of(flipped) == contract_necklace(necklace_of(p), j)
 
 
-@given(decorated_perms(max_n=7), st.data())
+@given(decorated_perms(max_n=64), st.data())
 @settings(max_examples=60, deadline=None)
 def test_restriction_agrees_entrywise(p, data):
     j = data.draw(st.integers(1, p.n))
