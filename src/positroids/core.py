@@ -13,6 +13,13 @@ bijection between decorated permutations and necklaces, and basis enumeration
 from a necklace via Gale bounds.  Everything is an immutable value and every
 function is pure.  Ground sets are capped at 64 elements so subsets fit in a
 single machine word.
+
+Validation happens once, at the boundary: the public constructors
+(`Subset(...)`, `DecoratedPermutation(...)` and their `of`/`identity`
+builders), the parsers and the public functions check what they are given.
+Values the library builds from values already checked are made with the
+private `_subset` and `_perm`, which skip the checks, and the hot loops read
+masks and image tuples directly.
 """
 
 from __future__ import annotations
@@ -128,11 +135,11 @@ class Subset:
 
     def add(self, e: int) -> "Subset":
         _check_element(e, self.n)
-        return Subset(self.n, self.mask | 1 << (e - 1))
+        return _subset(self.n, self.mask | 1 << (e - 1))
 
     def discard(self, e: int) -> "Subset":
         _check_element(e, self.n)
-        return Subset(self.n, self.mask & ~(1 << (e - 1)))
+        return _subset(self.n, self.mask & ~(1 << (e - 1)))
 
     def _same_ground(self, other: "Subset") -> None:
         if not isinstance(other, Subset):
@@ -142,15 +149,15 @@ class Subset:
 
     def __or__(self, other: "Subset") -> "Subset":
         self._same_ground(other)
-        return Subset(self.n, self.mask | other.mask)
+        return _subset(self.n, self.mask | other.mask)
 
     def __and__(self, other: "Subset") -> "Subset":
         self._same_ground(other)
-        return Subset(self.n, self.mask & other.mask)
+        return _subset(self.n, self.mask & other.mask)
 
     def __sub__(self, other: "Subset") -> "Subset":
         self._same_ground(other)
-        return Subset(self.n, self.mask & ~other.mask)
+        return _subset(self.n, self.mask & ~other.mask)
 
     def issubset(self, other: "Subset") -> bool:
         self._same_ground(other)
@@ -161,6 +168,15 @@ class Subset:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.members) + "}"
+
+
+def _subset(n: int, mask: int) -> Subset:
+    """Subset(n, mask) without the checks, for a mask known to fit in n."""
+    s = object.__new__(Subset)
+    fields = s.__dict__
+    fields["n"] = n
+    fields["mask"] = mask
+    return s
 
 
 def _gale_key_direct(n: int, t: int, mask: int) -> tuple[int, ...]:
@@ -174,12 +190,11 @@ def _gale_key_cached(n: int, t: int, mask: int) -> tuple[int, ...]:
     return _gale_key_direct(n, t, mask)
 
 
-def _gale_key(n: int, t: int, mask: int) -> tuple[int, ...]:
+def _gale_keyer(n: int):
+    """The function (n, t, mask) -> Gale key to use on an n-element ground set."""
     # Small ground sets dominate (exhaustive sweeps re-ask for the same keys
     # constantly); beyond 16 elements the cache would just balloon.
-    if n <= 16:
-        return _gale_key_cached(n, t, mask)
-    return _gale_key_direct(n, t, mask)
+    return _gale_key_cached if n <= 16 else _gale_key_direct
 
 
 def gale_leq(a: Subset, b: Subset, t: int) -> bool:
@@ -193,8 +208,9 @@ def gale_leq(a: Subset, b: Subset, t: int) -> bool:
         raise TypeError("gale_leq expects Subset operands")
     a._same_ground(b)
     _check_element(t, a.n, "start")
-    ka = _gale_key(a.n, t, a.mask)
-    kb = _gale_key(b.n, t, b.mask)
+    gale_key = _gale_keyer(a.n)
+    ka = gale_key(a.n, t, a.mask)
+    kb = gale_key(b.n, t, b.mask)
     if len(ka) != len(kb):
         raise ValidationError(f"Gale order compares equal-size subsets, got sizes {len(ka)} and {len(kb)}")
     return all(x <= y for x, y in zip(ka, kb))
@@ -205,10 +221,30 @@ def gale_extremum(d: Subset, t: int, direction: str = "max") -> int:
     if direction not in ("max", "min"):
         raise ValidationError(f"direction must be 'max' or 'min', got {direction!r}")
     _check_element(t, d.n, "start")
-    if len(d) == 0:
+    return (_shifted_max if direction == "max" else _shifted_min)(d.mask, t)
+
+
+def _shifted_max(mask: int, t: int) -> int:
+    """Largest member of a mask in the order t < ... < n < 1 < ... < t-1.
+
+    That is the highest member below t, or the highest member when none
+    lies below t.
+    """
+    if not mask:
         raise PreconditionError("the empty set has no Gale extremum")
-    pick = max if direction == "max" else min
-    return pick(d.members, key=lambda x: (x - t) % d.n)
+    return (mask & ((1 << (t - 1)) - 1) or mask).bit_length()
+
+
+def _shifted_min(mask: int, t: int) -> int:
+    """Smallest member of a mask in the order t < ... < n < 1 < ... < t-1.
+
+    That is the lowest member at or above t, or the lowest member when none
+    lies there.
+    """
+    if not mask:
+        raise PreconditionError("the empty set has no Gale extremum")
+    low = mask >> (t - 1) << (t - 1) or mask
+    return (low & -low).bit_length()
 
 
 def in_cyclic_interval(x: int, a: int, b: int, n: int) -> bool:
@@ -236,9 +272,10 @@ class DecoratedPermutation:
     images: tuple[int, ...]
     colors: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def of(cls, images: Iterable[int], colors: Mapping[int, int] | None = None) -> "DecoratedPermutation":
-        images = tuple(images)
+    def __post_init__(self):
+        images, colors = self.images, self.colors
+        if not isinstance(images, tuple) or not isinstance(colors, tuple):
+            raise ValidationError("images and colors must be tuples; DecoratedPermutation.of takes other forms")
         n = len(images)
         _check_n(n)
         seen = set()
@@ -247,21 +284,37 @@ class DecoratedPermutation:
             if v in seen:
                 raise ValidationError(f"image {v} repeats at position {pos}; not a permutation")
             seen.add(v)
-        fixed = {i for i in range(1, n + 1) if images[i - 1] == i}
-        colors = dict(colors or {})
-        for i, c in colors.items():
+        fixed = tuple(i for i in range(1, n + 1) if images[i - 1] == i)
+        for pair in colors:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValidationError(f"color entry {pair!r} is not a (fixed point, color) pair")
+            i, c = pair
             if i not in fixed:
                 raise ValidationError(f"color given for {i}, which is not a fixed point")
             if c not in (-1, 1):
                 raise ValidationError(f"color of {i} must be +1 or -1, got {c!r}")
-        missing = fixed - colors.keys()
+        missing = set(fixed) - {i for i, _ in colors}
         if missing:
             raise ValidationError(f"fixed points {sorted(missing)} are missing colors")
-        return cls(images, tuple(sorted(colors.items())))
+        if tuple(i for i, _ in colors) != fixed:
+            raise ValidationError(f"colors must list each fixed point of {list(fixed)} once, in increasing order")
+
+    @classmethod
+    def of(cls, images: Iterable[int], colors: Mapping[int, int] | None = None) -> "DecoratedPermutation":
+        """Build from any iterable of images and a fixed point -> color mapping."""
+        pairs = tuple(dict(colors or {}).items())
+        try:
+            pairs = tuple(sorted(pairs))
+        except TypeError:
+            pass  # keys that do not compare are not all fixed points, which __post_init__ reports
+        return cls(tuple(images), pairs)
 
     @classmethod
     def identity(cls, n: int, color: int = 1) -> "DecoratedPermutation":
-        return cls.of(range(1, n + 1), {i: color for i in range(1, n + 1)})
+        _check_n(n)
+        if color not in (-1, 1):
+            raise ValidationError(f"color of 1 must be +1 or -1, got {color!r}")
+        return _perm(tuple(range(1, n + 1)), tuple((i, color) for i in range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -292,12 +345,19 @@ class DecoratedPermutation:
         if color not in (-1, 1):
             raise ValidationError(f"color must be +1 or -1, got {color!r}")
         self.color(i)  # raises when i is not fixed
-        updated = {j: c for j, c in self.colors}
-        updated[i] = color
-        return DecoratedPermutation(self.images, tuple(sorted(updated.items())))
+        return _perm(self.images, tuple((j, color if j == i else c) for j, c in self.colors))
 
     def __repr__(self) -> str:
         return f"DecoratedPermutation({format_perm(self)!r})"
+
+
+def _perm(images: tuple[int, ...], colors: tuple[tuple[int, int], ...]) -> DecoratedPermutation:
+    """DecoratedPermutation(images, colors) without the checks, for values known valid."""
+    p = object.__new__(DecoratedPermutation)
+    fields = p.__dict__
+    fields["images"] = images
+    fields["colors"] = colors
+    return p
 
 
 def loop_coloop_status(p: DecoratedPermutation, i: int) -> str:
@@ -319,7 +379,7 @@ def dual(p: DecoratedPermutation) -> DecoratedPermutation:
     of the dual are the complements of the bases of p, so loops and coloops
     trade places.  dual(dual(p)) == p.
     """
-    return DecoratedPermutation(p.inverse(), tuple((i, -c) for i, c in p.colors))
+    return _perm(p.inverse(), tuple((i, -c) for i, c in p.colors))
 
 
 @dataclass(frozen=True)
@@ -420,21 +480,25 @@ def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
 
     Entry I_r collects the i that arrive from the left reading clockwise
     from r (i strictly before its preimage in the order starting at r),
-    together with all -1 fixed points.
+    together with all -1 fixed points.  Only I_1 is read off that way; the
+    step rule carries it round: I_{r+1} is I_r with r swapped for its image
+    when r is in I_r, and I_r otherwise.
     """
-    n = p.n
-    inv = p.inverse()
-    coloop_mask = 0
+    images = p.images
+    n = len(images)
+    mask = 0
     for i, c in p.colors:
         if c == -1:
-            coloop_mask |= 1 << (i - 1)
+            mask |= 1 << (i - 1)
+    for pre, i in enumerate(images, start=1):
+        if i < pre:  # read from 1, i comes before its preimage
+            mask |= 1 << (i - 1)
     entries = []
     for r in range(1, n + 1):
-        mask = coloop_mask
-        for i in range(1, n + 1):
-            if p.images[i - 1] != i and (i - r) % n < (inv[i - 1] - r) % n:
-                mask |= 1 << (i - 1)
-        entries.append(Subset(n, mask))
+        entries.append(_subset(n, mask))
+        bit = 1 << (r - 1)
+        if mask & bit:
+            mask = mask ^ bit | 1 << (images[r - 1] - 1)
     return GrassmannNecklace(tuple(entries))
 
 
@@ -474,7 +538,8 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     from itertools import combinations
 
     n, k = necklace.n, necklace.k
-    bounds = [_gale_key(n, t, necklace.entry(t).mask) for t in range(1, n + 1)]
+    gale_key = _gale_keyer(n)
+    bounds = [gale_key(n, t, e.mask) for t, e in enumerate(necklace.entries, start=1)]
     found = []
     for combo in combinations(range(n), k):
         mask = 0
@@ -482,7 +547,7 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
             mask |= 1 << p
         ok = True
         for t in range(1, n + 1):
-            key = _gale_key(n, t, mask)
+            key = gale_key(n, t, mask)
             low = bounds[t - 1]
             for x, y in zip(low, key):
                 if x > y:
@@ -491,7 +556,7 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
             if not ok:
                 break
         if ok:
-            found.append(Subset(n, mask))
+            found.append(_subset(n, mask))
     return BasisFamily(n, k, frozenset(found))
 
 

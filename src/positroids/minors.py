@@ -29,10 +29,12 @@ from .core import (
     PreconditionError,
     Subset,
     _check_element,
+    _shifted_max,
+    _shifted_min,
+    _subset,
     cyclic_lt,
     dual,
     format_perm,
-    gale_extremum,
     in_cyclic_interval,
     necklace_of,
     perm_to_obj,
@@ -70,13 +72,13 @@ class CaseLabel(enum.Enum):
 
 def _require_nonloop(necklace: GrassmannNecklace, j: int) -> None:
     # j is a loop exactly when it is missing from its own entry
-    if j not in necklace.entry(j):
+    if not necklace.entries[j - 1].mask >> (j - 1) & 1:
         raise PreconditionError(f"{j} is a loop; the contracted necklace is undefined")
 
 
 def _require_noncoloop(necklace: GrassmannNecklace, j: int) -> None:
     # j is a coloop exactly when it survives into the entry after its own
-    if j in necklace.entry(j + 1):
+    if necklace.entries[j % necklace.n].mask >> (j - 1) & 1:
         raise PreconditionError(f"{j} is a coloop; the restricted necklace is undefined")
 
 
@@ -90,10 +92,10 @@ def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     _check_element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_nonloop(necklace, j)
-    entry = necklace.entry(a)
-    if j in entry:
+    entry = necklace.entries[a - 1].mask
+    if entry >> (j - 1) & 1:
         return j
-    return gale_extremum(entry - necklace.entry(j), a, "max")
+    return _shifted_max(entry & ~necklace.entries[j - 1].mask, a)
 
 
 def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
@@ -106,10 +108,10 @@ def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     _check_element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_noncoloop(necklace, j)
-    entry = necklace.entry(a)
-    if j not in entry:
+    entry = necklace.entries[a - 1].mask
+    if not entry >> (j - 1) & 1:
         return j
-    return gale_extremum(necklace.entry(j + 1) - entry, a, "min")
+    return _shifted_min(necklace.entries[j % necklace.n].mask & ~entry, a)
 
 
 def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -119,16 +121,19 @@ def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     dropping j from each entry gives the necklace of the contracted matroid
     on the remaining elements.  Requires j not a loop.
     """
-    _check_element(j, necklace.n)
+    n = necklace.n
+    _check_element(j, n)
     _require_nonloop(necklace, j)
+    bit = 1 << (j - 1)
+    pool = necklace.entries[j - 1].mask
     entries = []
-    for a in range(1, necklace.n + 1):
-        entry = necklace.entry(a)
-        if j in entry:
+    for a, entry in enumerate(necklace.entries, start=1):
+        mask = entry.mask
+        if mask & bit:
             entries.append(entry)
         else:
-            out = gale_extremum(entry - necklace.entry(j), a, "max")
-            entries.append(entry.discard(out).add(j))
+            out = _shifted_max(mask & ~pool, a)
+            entries.append(_subset(n, mask ^ 1 << (out - 1) | bit))
     return GrassmannNecklace(tuple(entries))
 
 
@@ -138,23 +143,26 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     The result lives on the same ground set with j in no entry; it is the
     necklace of the matroid with j deleted.  Requires j not a coloop.
     """
-    _check_element(j, necklace.n)
+    n = necklace.n
+    _check_element(j, n)
     _require_noncoloop(necklace, j)
-    pool = necklace.entry(j + 1)
+    bit = 1 << (j - 1)
+    pool = necklace.entries[j % n].mask
     entries = []
-    for a in range(1, necklace.n + 1):
-        entry = necklace.entry(a)
-        if j not in entry:
+    for a, entry in enumerate(necklace.entries, start=1):
+        mask = entry.mask
+        if not mask & bit:
             entries.append(entry)
         else:
-            inc = gale_extremum(pool - entry, a, "min")
-            entries.append(entry.discard(j).add(inc))
+            inc = _shifted_min(pool & ~mask, a)
+            entries.append(_subset(n, mask ^ bit | 1 << (inc - 1)))
     return GrassmannNecklace(tuple(entries))
 
 
 def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
     # p's fixed points keep their colors; the walk's new ones are loops
-    return {i: p.color(i) if p.image(i) == i else 1 for i in range(1, p.n + 1) if mu[i - 1] == i}
+    old = dict(p.colors)
+    return {i: old.get(i, 1) for i in range(1, len(mu) + 1) if mu[i - 1] == i}
 
 
 def is_degenerate(p: DecoratedPermutation, j: int, kind: MinorKind) -> bool:
@@ -174,22 +182,24 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     the identity with all fixed points +1.
     """
     _check_element(j, p.n)
-    if p.image(j) == j:
+    images = p.images
+    n = len(images)
+    if images[j - 1] == j:
         if p.color(j) == -1:
             return p.with_color(j, 1)
-        return DecoratedPermutation.identity(p.n, 1)
+        return DecoratedPermutation.identity(n, 1)
     # Carry the displaced image q clockwise from j+1, swapping it into place
     # wherever the branch test fires, until q comes to rest at the preimage
-    # of j.  Positions outside the walk keep their images.
-    n = p.n
-    mu = list(p.images)
+    # of j.  Positions outside the walk keep their images.  The test reads
+    # q <_t image(a) <_t j in the shifted order starting at t = a + 1.
+    mu = list(images)
     mu[j - 1] = j
-    q = p.image(j)
-    a = succ(j, n)
-    while p.image(a) != j:
-        pa = p.image(a)
-        t = succ(a, n)
-        if q == a or (cyclic_lt(q, pa, t, n) and cyclic_lt(pa, j, t, n)):
+    q = images[j - 1]
+    a = j % n + 1
+    while images[a - 1] != j:
+        pa = images[a - 1]
+        t = a % n + 1
+        if q == a or ((q - t) % n < (pa - t) % n < (j - t) % n):
             mu[a - 1] = q
             q = pa
         a = t

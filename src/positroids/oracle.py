@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
 
 from .core import (
@@ -22,14 +23,14 @@ from .core import (
     ValidationError,
     _check_element,
     _check_n,
-    _gale_key,
+    _gale_keyer,
+    _perm,
+    _subset,
     bases_of,
     format_perm,
     loop_coloop_status,
     necklace_of,
-    necklace_step,
     perm_of,
-    succ,
 )
 from .minors import (
     MinorKind,
@@ -58,8 +59,10 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
     Empty when j is a loop; the sentinel empty family is returned rather
     than raising, since callers probing arbitrary j expect it.
     """
-    _check_element(j, family.n)
-    kept = frozenset(h.discard(j) for h in family.bases if j in h)
+    n = family.n
+    _check_element(j, n)
+    bit = 1 << (j - 1)
+    kept = frozenset(_subset(n, h.mask ^ bit) for h in family.bases if h.mask & bit)
     k = max(family.k - 1, 0)
     if not kept:
         return BasisFamily.empty(family.n, k)
@@ -69,7 +72,8 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
 def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
     """Bases avoiding j.  Empty (sentinel) when j is a coloop."""
     _check_element(j, family.n)
-    kept = frozenset(h for h in family.bases if j not in h)
+    bit = 1 << (j - 1)
+    kept = frozenset(h for h in family.bases if not h.mask & bit)
     if not kept:
         return BasisFamily.empty(family.n, family.k)
     return BasisFamily(family.n, family.k, kept)
@@ -80,11 +84,10 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
     if family.is_empty:
         raise PreconditionError("the empty family has no necklace")
     n = family.n
-    entries = []
-    for t in range(1, n + 1):
-        best = min(family.bases, key=lambda h: _gale_key(n, t, h.mask))
-        entries.append(best)
-    return GrassmannNecklace(tuple(entries))
+    gale_key = _gale_keyer(n)
+    masks = [h.mask for h in family.bases]
+    # a Gale key determines its subset, so the minimum is unique
+    return GrassmannNecklace(tuple(_subset(n, min(masks, key=partial(gale_key, n, t))) for t in range(1, n + 1)))
 
 
 def is_positroid(family: BasisFamily) -> bool:
@@ -132,7 +135,7 @@ def enumerate_decorated_perms(n: int, cap: int = ENUMERATION_CAP):
     for images in permutations(range(1, n + 1)):
         fixed = [i for i in range(1, n + 1) if images[i - 1] == i]
         for signs in product((-1, 1), repeat=len(fixed)):
-            yield DecoratedPermutation.of(images, dict(zip(fixed, signs)))
+            yield _perm(images, tuple(zip(fixed, signs)))
 
 
 @dataclass
@@ -175,9 +178,16 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
     the square is inert (images equal, swaps equal).
     """
     failures = []
-    n = p.n
+    images, result_images = p.images, result.images
+    n = len(images)
+    entries = minor_necklace.entries
     for a in range(1, n + 1):
-        if necklace_step(minor_necklace.entry(a), a, result.image(a)) != minor_necklace.entry(a + 1):
+        # the step rule from K_a under the minor's image of a
+        mask = entries[a - 1].mask
+        bit = 1 << (a - 1)
+        if mask & bit:
+            mask = mask ^ bit | 1 << (result_images[a - 1] - 1)
+        if mask != entries[a % n].mask:
             failures.append("commutation")
             break
     contracting = kind is MinorKind.CONTRACTION
@@ -185,10 +195,11 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
     swaps = [swap(necklace, j, a) for a in range(1, n + 1)]
     for a in range(1, n + 1):
         here = swaps[a - 1]
-        there = swaps[a % n]  # the swap at succ(a, n)
+        there = swaps[a % n]  # the swap at a + 1
         top, bottom = (there, here) if contracting else (here, there)
-        carried = p.image(a) == top and result.image(a) == bottom
-        inert = result.image(a) == p.image(a) and here == there
+        image, minor_image = images[a - 1], result_images[a - 1]
+        carried = image == top and minor_image == bottom
+        inert = minor_image == image and here == there
         if carried == inert:
             failures.append("square-pattern")
             break
@@ -219,19 +230,20 @@ def _verify_instance(p, necklace, family, j, kind, bases):
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
     # the bases through j when contracting, avoiding j when restricting
-    kept = BasisFamily(n, k, frozenset(h for h in family.bases if (j in h) == contracting))
+    bit = 1 << (j - 1)
+    kept = BasisFamily(n, k, frozenset(h for h in family.bases if bool(h.mask & bit) is contracting))
     if oracle_necklace(kept) != minor_necklace:
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
     agreed = minor_necklace
     if contracting:
-        agreed = GrassmannNecklace(tuple(e.discard(j) for e in minor_necklace.entries))
+        agreed = GrassmannNecklace(tuple(_subset(n, e.mask & ~bit) for e in minor_necklace.entries))
     if result_necklace != agreed:
         failures.append("necklace-agreement")
     if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
         failures.append("color-flip")
-    if p.image(j) == j:
+    if p.images[j - 1] == j:
         # a non-degenerate fixed j becomes a loop (a restricted one already is)
         if result != p.with_color(j, 1):
             failures.append("convention")

@@ -126,6 +126,33 @@ class TestDecoratedPermutation:
         with pytest.raises(ValidationError):
             DecoratedPermutation.of((2, 1, 3), {3: 0})
 
+    def test_constructor_validates_like_of(self):
+        # the raw constructor once accepted these, and necklace_of((2, 1, 3), ())
+        # came out as 1;2;1 with the fixed point 3 in no entry
+        with pytest.raises(ValidationError, match=r"fixed points \[3\] are missing colors"):
+            DecoratedPermutation((2, 1, 3), ())
+        with pytest.raises(ValidationError, match="in increasing order"):
+            DecoratedPermutation((1, 2), ((2, 1), (1, 1)))
+        with pytest.raises(ValidationError, match="in increasing order"):
+            DecoratedPermutation((1, 2), ((1, 1), (1, 1), (2, 1)))
+        with pytest.raises(ValidationError, match="color given for 1, which is not a fixed point"):
+            DecoratedPermutation((2, 1), ((1, 1),))
+        with pytest.raises(ValidationError, match="image 1 repeats at position 2"):
+            DecoratedPermutation((1, 1), ((1, 1),))
+        with pytest.raises(ValidationError, match="not a .fixed point, color. pair"):
+            DecoratedPermutation((1,), (1,))
+        with pytest.raises(ValidationError, match="must be tuples"):
+            DecoratedPermutation([2, 1], ())
+        assert DecoratedPermutation((1, 2), ((1, 1), (2, -1))) == DecoratedPermutation.of((1, 2), {2: -1, 1: 1})
+        with pytest.raises(ValidationError, match="color given for x, which is not a fixed point"):
+            DecoratedPermutation.of((2, 1, 3), {3: -1, "x": 1})
+
+    def test_identity_validates(self):
+        with pytest.raises(ValidationError, match="color of 1 must be"):
+            DecoratedPermutation.identity(3, 0)
+        with pytest.raises(ValidationError, match="positive integer"):
+            DecoratedPermutation.identity(0)
+
     def test_status(self):
         p = DecoratedPermutation.of((1, 3, 2, 4), {1: 1, 4: -1})
         assert loop_coloop_status(p, 1) == "loop"

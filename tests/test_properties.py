@@ -1,16 +1,21 @@
 """Randomized properties over decorated permutations and subsets."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from positroids import (
     DecoratedPermutation,
+    GrassmannNecklace,
     MinorKind,
+    PreconditionError,
     Subset,
+    ValidationError,
     apply_minor,
     bases_of,
     contract,
     contract_necklace,
+    contraction_swap,
     dual,
     gale_extremum,
     gale_leq,
@@ -24,7 +29,9 @@ from positroids import (
     perm_of,
     restrict,
     restrict_necklace,
+    restriction_swap,
 )
+from positroids.core import _subset
 
 
 @st.composite
@@ -46,6 +53,119 @@ def equal_size_subsets(draw, count, max_n=12):
     picks = [Subset.of(n, draw(st.permutations(universe))[:k]) for _ in range(count)]
     t = draw(st.integers(1, n))
     return n, t, picks
+
+
+@st.composite
+def masks_with_start(draw, max_n=64):
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(1, n))
+
+
+# Plain references for the mask formulas, written from the definitions.
+
+
+def shifted_extremum(members, t, n, direction):
+    """Largest or smallest of the members in the order t < ... < n < 1 < ... < t-1."""
+    return (max if direction == "max" else min)(members, key=lambda x: (x - t) % n)
+
+
+def reference_necklace(p):
+    """I_r: the i reading clockwise from r before their preimage, plus the -1 fixed points."""
+    n = p.n
+    inv = p.inverse()
+    coloops = [i for i, c in p.colors if c == -1]
+    entries = []
+    for r in range(1, n + 1):
+        early = [i for i in range(1, n + 1) if p.images[i - 1] != i and (i - r) % n < (inv[i - 1] - r) % n]
+        entries.append(Subset.of(n, coloops + early))
+    return tuple(entries)
+
+
+def reference_contraction_swap(necklace, j, a):
+    entry = necklace.entry(a)
+    if j in entry:
+        return j
+    return shifted_extremum((entry - necklace.entry(j)).members, a, necklace.n, "max")
+
+
+def reference_restriction_swap(necklace, j, a):
+    entry = necklace.entry(a)
+    if j not in entry:
+        return j
+    return shifted_extremum((necklace.entry(j + 1) - entry).members, a, necklace.n, "min")
+
+
+def necklace_minor(necklace, j, kind):
+    """The necklace route of a minor, with j stripped from contraction's entries."""
+    if kind is MinorKind.RESTRICTION:
+        return restrict_necklace(necklace, j)
+    return GrassmannNecklace(tuple(e.discard(j) for e in contract_necklace(necklace, j).entries))
+
+
+@given(masks_with_start())
+@settings(max_examples=300)
+def test_gale_extremum_matches_members(case):
+    n, mask, t = case
+    d = Subset(n, mask)
+    for direction in ("max", "min"):
+        if mask == 0:
+            with pytest.raises(PreconditionError):
+                gale_extremum(d, t, direction)
+        else:
+            assert gale_extremum(d, t, direction) == shifted_extremum(d.members, t, n, direction)
+
+
+@given(masks_with_start())
+@settings(max_examples=200)
+def test_unchecked_subset_equals_checked(case):
+    n, mask, _ = case
+    assert _subset(n, mask) == Subset(n, mask)
+    assert hash(_subset(n, mask)) == hash(Subset(n, mask))
+    with pytest.raises(ValidationError):
+        Subset(n, mask | 1 << n)
+    with pytest.raises(ValidationError):
+        Subset(3, 8)
+
+
+@given(decorated_perms(max_n=64))
+@settings(max_examples=120, deadline=None)
+def test_necklace_of_matches_the_definition(p):
+    assert necklace_of(p).entries == reference_necklace(p)
+
+
+@given(decorated_perms(max_n=64), st.data())
+@settings(max_examples=120, deadline=None)
+def test_swaps_match_subset_differences(p, data):
+    necklace = necklace_of(p)
+    j = data.draw(st.integers(1, p.n))
+    status = loop_coloop_status(p, j)
+    for a in range(1, p.n + 1):
+        if status == "loop":
+            with pytest.raises(PreconditionError):
+                contraction_swap(necklace, j, a)
+        else:
+            assert contraction_swap(necklace, j, a) == reference_contraction_swap(necklace, j, a)
+        if status == "coloop":
+            with pytest.raises(PreconditionError):
+                restriction_swap(necklace, j, a)
+        else:
+            assert restriction_swap(necklace, j, a) == reference_restriction_swap(necklace, j, a)
+
+
+@given(decorated_perms(max_n=64, min_n=2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_minors_in_sequence_agree_on_both_routes(p, data):
+    # two single-element minors at distinct elements, in every order of kinds
+    j1 = data.draw(st.integers(1, p.n))
+    j2 = data.draw(st.integers(1, p.n).filter(lambda j: j != j1))
+    kinds = data.draw(st.tuples(st.sampled_from(MinorKind), st.sampled_from(MinorKind)))
+    perm, necklace = p, necklace_of(p)
+    for j, kind in zip((j1, j2), kinds):
+        if is_degenerate(perm, j, kind):
+            return
+        perm = apply_minor(perm, j, kind).perm
+        necklace = necklace_minor(necklace, j, kind)
+    assert necklace_of(perm) == necklace
 
 
 @given(decorated_perms(max_n=64))
