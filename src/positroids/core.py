@@ -15,11 +15,12 @@ function is pure.  Ground sets are capped at 64 elements so subsets fit in a
 single machine word.
 
 Validation happens once, at the boundary: the public constructors
-(`Subset(...)`, `DecoratedPermutation(...)` and their `of`/`identity`
-builders), the parsers and the public functions check what they are given.
-Values the library builds from values already checked are made with the
-private `_subset` and `_perm`, which skip the checks, and the hot loops read
-masks and image tuples directly.
+(`Subset(...)`, `DecoratedPermutation(...)`, `GrassmannNecklace(...)`,
+`BasisFamily(...)` and their `of`/`identity`/`empty` builders), the parsers
+and the public functions check what they are given.  Values the library
+builds from values already checked are made with the private `_subset`,
+`_perm`, `_necklace` and `_family`, which skip the checks, and the hot loops
+and the checks themselves read masks and image tuples directly.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ class Subset:
         _check_n(n)
         mask = 0
         for e in elements:
-            _check_element(e, n, "element")
+            if not isinstance(e, int) or not 1 <= e <= n:
+                raise ValidationError(f"element {e!r} is out of range 1..{n}")
             mask |= 1 << (e - 1)
-        return cls(n, mask)
+        return _subset(n, mask)
 
     @classmethod
     def empty(cls, n: int) -> "Subset":
@@ -122,7 +124,8 @@ class Subset:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        # bin() lists the bits from the top; reversed, character i is element i
+        return tuple(i for i, bit in enumerate(bin(self.mask)[:1:-1], start=1) if bit == "1")
 
     def __contains__(self, e: int) -> bool:
         return isinstance(e, int) and 1 <= e <= self.n and bool(self.mask >> (e - 1) & 1)
@@ -167,7 +170,7 @@ class Subset:
         return f"Subset.of({self.n}, {list(self.members)})"
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.members) + "}"
+        return "{" + ",".join(map(str, self.members)) + "}"
 
 
 def _subset(n: int, mask: int) -> Subset:
@@ -279,24 +282,31 @@ class DecoratedPermutation:
         n = len(images)
         _check_n(n)
         seen = set()
+        fixed = []
         for pos, v in enumerate(images, start=1):
-            _check_element(v, n, f"image at position {pos}")
+            if not isinstance(v, int) or not 1 <= v <= n:
+                raise ValidationError(f"image at position {pos} {v!r} is out of range 1..{n}")
             if v in seen:
                 raise ValidationError(f"image {v} repeats at position {pos}; not a permutation")
             seen.add(v)
-        fixed = tuple(i for i in range(1, n + 1) if images[i - 1] == i)
+            if v == pos:
+                fixed.append(pos)
+        fixed = tuple(fixed)
         for pair in colors:
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValidationError(f"color entry {pair!r} is not a (fixed point, color) pair")
             i, c = pair
-            if i not in fixed:
+            # an int is a fixed point when it maps to itself; anything else is
+            # compared with each fixed point in turn
+            if not (images[i - 1] == i if type(i) is int and 1 <= i <= n else i in fixed):
                 raise ValidationError(f"color given for {i}, which is not a fixed point")
             if c not in (-1, 1):
                 raise ValidationError(f"color of {i} must be +1 or -1, got {c!r}")
-        missing = set(fixed) - {i for i, _ in colors}
-        if missing:
-            raise ValidationError(f"fixed points {sorted(missing)} are missing colors")
-        if tuple(i for i, _ in colors) != fixed:
+        listed = tuple([i for i, _ in colors])
+        if listed != fixed:
+            missing = set(fixed) - set(listed)
+            if missing:
+                raise ValidationError(f"fixed points {sorted(missing)} are missing colors")
             raise ValidationError(f"colors must list each fixed point of {list(fixed)} once, in increasing order")
 
     @classmethod
@@ -388,8 +398,7 @@ class GrassmannNecklace:
 
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
     element, otherwise I_{i+1} = I_i.  Indices are cyclic, so entry(n+1) is
-    entry(1).  Construct through validate_necklace (or necklace_of) unless
-    the sequence is already known to be valid.
+    entry(1).  The constructor checks the entries like validate_necklace.
     """
 
     entries: tuple[Subset, ...]
@@ -397,6 +406,9 @@ class GrassmannNecklace:
     def __post_init__(self):
         if not self.entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
+        bad = necklace_violations(self.entries)
+        if bad:
+            raise InvalidNecklaceError(bad)
 
     @property
     def n(self) -> int:
@@ -412,6 +424,13 @@ class GrassmannNecklace:
 
     def __repr__(self) -> str:
         return f"GrassmannNecklace({format_necklace(self)!r})"
+
+
+def _necklace(entries: tuple[Subset, ...]) -> GrassmannNecklace:
+    """GrassmannNecklace(entries) without the checks, for entries known valid."""
+    necklace = object.__new__(GrassmannNecklace)
+    necklace.__dict__["entries"] = entries
+    return necklace
 
 
 @dataclass(frozen=True)
@@ -441,22 +460,25 @@ def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
     if len(entries) != n:
         out.append(NecklaceViolation(0, "shape", f"{len(entries)} entries for ground set of size {n}"))
         return out
-    k = len(entries[0])
-    for idx, e in enumerate(entries, start=1):
-        if len(e) != k:
-            out.append(NecklaceViolation(idx, "size", f"size {len(e)} differs from size {k} of entry 1"))
+    masks = [e.mask for e in entries]
+    k = masks[0].bit_count()
+    for idx, mask in enumerate(masks, start=1):
+        if mask.bit_count() != k:
+            out.append(NecklaceViolation(idx, "size", f"size {mask.bit_count()} differs from size {k} of entry 1"))
+    bit = 1
     for i in range(1, n + 1):
-        cur = entries[i - 1]
-        nxt = entries[i % n]
-        if i not in cur:
+        cur = masks[i - 1]
+        nxt = masks[i % n]
+        if not cur & bit:
             if nxt != cur:
                 out.append(NecklaceViolation(i, "step", f"{i} is absent from I_{i} but I_{succ(i, n)} != I_{i}"))
         else:
-            dropped = cur.discard(i)
-            if not dropped.issubset(nxt):
+            dropped = cur ^ bit
+            if dropped & ~nxt:
                 out.append(NecklaceViolation(i, "step", f"I_{succ(i, n)} loses more than element {i} from I_{i}"))
-            elif len(nxt - dropped) != 1:
+            elif (nxt & ~dropped).bit_count() != 1:
                 out.append(NecklaceViolation(i, "step", f"I_{succ(i, n)} must add exactly one element to I_{i} minus {i}"))
+        bit <<= 1
     return out
 
 
@@ -465,7 +487,7 @@ def validate_necklace(entries: Sequence[Subset]) -> GrassmannNecklace:
     bad = necklace_violations(entries)
     if bad:
         raise InvalidNecklaceError(bad)
-    return GrassmannNecklace(tuple(entries))
+    return _necklace(tuple(entries))
 
 
 def necklace_step(entry: Subset, i: int, image: int) -> Subset:
@@ -499,7 +521,7 @@ def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
         bit = 1 << (r - 1)
         if mask & bit:
             mask = mask ^ bit | 1 << (images[r - 1] - 1)
-    return GrassmannNecklace(tuple(entries))
+    return _necklace(tuple(entries))
 
 
 def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
@@ -509,20 +531,24 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
     to j; when the entry repeats, i is a fixed point, colored -1 when i sits
     in I_i (coloop) and +1 otherwise (loop).
     """
-    n = necklace.n
+    entries = necklace.entries
+    n = len(entries)
     images = [0] * n
     colors = {}
     for i in range(1, n + 1):
-        cur = necklace.entry(i)
-        nxt = necklace.entry(i + 1)
-        if i not in cur:
+        cur = entries[i - 1]
+        bit = 1 << (i - 1)
+        if not cur.mask & bit:
             images[i - 1] = i
             colors[i] = 1
             continue
-        gained = nxt - cur.discard(i)
-        if len(gained) != 1:
+        nxt = entries[i % n]
+        if nxt.n != cur.n:
+            raise ValidationError(f"mixed ground sets: n={nxt.n} vs n={cur.n}")
+        gained = nxt.mask & ~(cur.mask ^ bit)
+        if gained.bit_count() != 1:
             raise InvalidNecklaceError([NecklaceViolation(i, "step", "entry does not follow the step rule")])
-        j = gained.members[0]
+        j = gained.bit_length()
         images[i - 1] = j
         if j == i:
             colors[i] = -1
@@ -557,7 +583,7 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
                 break
         if ok:
             found.append(_subset(n, mask))
-    return BasisFamily(n, k, frozenset(found))
+    return _family(n, k, frozenset(found))
 
 
 @dataclass(frozen=True)
@@ -566,11 +592,26 @@ class BasisFamily:
 
     A real family is nonempty; the empty value exists only as a sentinel for
     minor operations that kill every basis (build it with BasisFamily.empty).
+    The constructor checks n, the rank k and that every basis is a k-subset
+    of {1, ..., n}.
     """
 
     n: int
     k: int
     bases: frozenset[Subset]
+
+    def __post_init__(self):
+        n, k = self.n, self.k
+        _check_n(n)
+        if not isinstance(k, int) or not 0 <= k <= n:
+            raise ValidationError(f"rank {k!r} out of range for n={n}")
+        for b in self.bases:
+            if not isinstance(b, Subset):
+                raise TypeError(f"basis {b!r} is not a Subset")
+            if b.n != n:
+                raise ValidationError(f"basis {b} lives on n={b.n}, expected n={n}")
+            if b.mask.bit_count() != k:
+                raise ValidationError(f"basis {b} has size {len(b)}, expected {k}")
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
@@ -588,13 +629,10 @@ class BasisFamily:
             collected.add(sub)
         if k is None:
             raise ValidationError("a basis family needs at least one basis")
-        return cls(n, k, frozenset(collected))
+        return _family(n, k, frozenset(collected))
 
     @classmethod
     def empty(cls, n: int, k: int) -> "BasisFamily":
-        _check_n(n)
-        if not 0 <= k <= n:
-            raise ValidationError(f"rank {k} out of range for n={n}")
         return cls(n, k, frozenset())
 
     @property
@@ -615,6 +653,16 @@ class BasisFamily:
 
     def __repr__(self) -> str:
         return f"BasisFamily.of({self.n}, {[list(s.members) for s in self.sorted_bases()]})"
+
+
+def _family(n: int, k: int, bases: frozenset[Subset]) -> BasisFamily:
+    """BasisFamily(n, k, bases) without the checks, for k-subsets known to live on n."""
+    family = object.__new__(BasisFamily)
+    fields = family.__dict__
+    fields["n"] = n
+    fields["k"] = k
+    fields["bases"] = bases
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +719,7 @@ def parse_perm(text: str) -> DecoratedPermutation:
 
 
 def format_subset(s: Subset) -> str:
-    return ",".join(str(e) for e in s.members)
+    return ",".join(map(str, s.members))
 
 
 def parse_subset(text: str, n: int) -> Subset:

@@ -29,6 +29,7 @@ from .core import (
     PreconditionError,
     Subset,
     _check_element,
+    _necklace,
     _shifted_max,
     _shifted_min,
     _subset,
@@ -134,7 +135,7 @@ def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
         else:
             out = _shifted_max(mask & ~pool, a)
             entries.append(_subset(n, mask ^ 1 << (out - 1) | bit))
-    return GrassmannNecklace(tuple(entries))
+    return _necklace(tuple(entries))
 
 
 def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -156,7 +157,7 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
         else:
             inc = _shifted_min(pool & ~mask, a)
             entries.append(_subset(n, mask ^ bit | 1 << (inc - 1)))
-    return GrassmannNecklace(tuple(entries))
+    return _necklace(tuple(entries))
 
 
 def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
@@ -255,7 +256,7 @@ def classify_square(
     _check_element(a, n)
     if p.image(j) == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to classify")
-    inv_j = p.inverse()[j - 1]
+    inv_j = p.images.index(j) + 1
     if kind is MinorKind.CONTRACTION:
         if a == j:
             return CaseLabel.CASE1
@@ -342,9 +343,7 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
 def _cell(s: Subset) -> str:
     if len(s) == 0:
         return "{}"
-    if s.n <= 9:
-        return "".join(str(e) for e in s.members)
-    return ",".join(str(e) for e in s.members)
+    return ("" if s.n <= 9 else ",").join(map(str, s.members))
 
 
 def render_trace(trace: MinorTrace) -> str:

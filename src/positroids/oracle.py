@@ -23,7 +23,9 @@ from .core import (
     ValidationError,
     _check_element,
     _check_n,
+    _family,
     _gale_keyer,
+    _necklace,
     _perm,
     _subset,
     bases_of,
@@ -66,7 +68,7 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
     k = max(family.k - 1, 0)
     if not kept:
         return BasisFamily.empty(family.n, k)
-    return BasisFamily(family.n, k, kept)
+    return _family(family.n, k, kept)
 
 
 def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
@@ -76,18 +78,22 @@ def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
     kept = frozenset(h for h in family.bases if not h.mask & bit)
     if not kept:
         return BasisFamily.empty(family.n, family.k)
-    return BasisFamily(family.n, family.k, kept)
+    return _family(family.n, family.k, kept)
 
 
 def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
-    """Entrywise Gale minimum of the family, one entry per starting point."""
+    """Entrywise Gale minimum of the family, one entry per starting point.
+
+    The minima of a matroid's bases form its Grassmann necklace; for a family
+    that is not a matroid they need not, and come back unchecked all the same.
+    """
     if family.is_empty:
         raise PreconditionError("the empty family has no necklace")
     n = family.n
     gale_key = _gale_keyer(n)
     masks = [h.mask for h in family.bases]
     # a Gale key determines its subset, so the minimum is unique
-    return GrassmannNecklace(tuple(_subset(n, min(masks, key=partial(gale_key, n, t))) for t in range(1, n + 1)))
+    return _necklace(tuple(_subset(n, min(masks, key=partial(gale_key, n, t))) for t in range(1, n + 1)))
 
 
 def is_positroid(family: BasisFamily) -> bool:
@@ -231,14 +237,14 @@ def _verify_instance(p, necklace, family, j, kind, bases):
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
     # the bases through j when contracting, avoiding j when restricting
     bit = 1 << (j - 1)
-    kept = BasisFamily(n, k, frozenset(h for h in family.bases if bool(h.mask & bit) is contracting))
+    kept = _family(n, k, frozenset(h for h in family.bases if bool(h.mask & bit) is contracting))
     if oracle_necklace(kept) != minor_necklace:
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
     agreed = minor_necklace
     if contracting:
-        agreed = GrassmannNecklace(tuple(_subset(n, e.mask & ~bit) for e in minor_necklace.entries))
+        agreed = _necklace(tuple(_subset(n, e.mask & ~bit) for e in minor_necklace.entries))
     if result_necklace != agreed:
         failures.append("necklace-agreement")
     if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
@@ -289,7 +295,7 @@ class _BasesMemo:
             low = bits & -bits
             found.append(subsets[low.bit_length() - 1])
             bits ^= low
-        return BasisFamily(len(key), key[0].bit_count(), frozenset(found))
+        return _family(len(key), key[0].bit_count(), frozenset(found))
 
 
 def _sweep(n, kind_values, stride, offset):

@@ -23,6 +23,7 @@ from positroids import (
     necklace_step,
     necklace_to_obj,
     necklace_violations,
+    oracle_necklace,
     parse_bases,
     parse_necklace,
     parse_perm,
@@ -30,6 +31,9 @@ from positroids import (
     perm_to_obj,
     validate_necklace,
 )
+from positroids import core
+from positroids.core import _necklace
+from positroids.minors import contract_necklace
 
 GOLDEN_PERM = "8,1,4,2,5+,7,3,6"
 GOLDEN_NECKLACE = [
@@ -253,8 +257,42 @@ class TestNecklaceValidation:
                 validate_necklace(entries)
 
     def test_empty_necklace_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="needs at least one entry"):
             GrassmannNecklace(())
+
+    def test_constructor_validates(self):
+        # not a necklace: I_2 is larger than I_1, and the steps at 1 and 2 break the rule
+        entries = (Subset.of(3, [1]), Subset.of(3, [1, 2]), Subset.of(3, [3]))
+        with pytest.raises(InvalidNecklaceError) as err:
+            GrassmannNecklace(entries)
+        assert err.value.violations == necklace_violations(entries)
+        # so neither bases_of nor contract_necklace can be handed one
+        with pytest.raises(InvalidNecklaceError):
+            bases_of(GrassmannNecklace(entries))
+        with pytest.raises(InvalidNecklaceError):
+            contract_necklace(GrassmannNecklace(entries), 1)
+        with pytest.raises(TypeError, match="entry 2 is not a Subset"):
+            GrassmannNecklace((Subset.of(2, [1]), 2))
+        assert GrassmannNecklace(necklace_of(parse_perm(GOLDEN_PERM)).entries) == necklace_of(parse_perm(GOLDEN_PERM))
+
+    def test_validate_necklace_checks_once(self, monkeypatch):
+        calls = []
+        check = core.necklace_violations
+
+        def counted(entries):
+            calls.append(entries)
+            return check(entries)
+
+        monkeypatch.setattr(core, "necklace_violations", counted)
+        validate_necklace([Subset.of(2, [1]), Subset.of(2, [2])])
+        assert len(calls) == 1
+
+    def test_perm_of_rejects_mixed_ground_sets(self):
+        # only an unchecked necklace can mix ground sets; read naively by
+        # masks it would give 2,3,1
+        necklace = _necklace((Subset.of(3, [1]), Subset.of(4, [2]), Subset.of(3, [3])))
+        with pytest.raises(ValidationError, match=r"^mixed ground sets: n=4 vs n=3$"):
+            perm_of(necklace)
 
     def test_all_violations_reported(self):
         entries = [Subset.of(3, [1]), Subset.of(3, [3]), Subset.of(3, [2])]
@@ -306,6 +344,22 @@ class TestBases:
             BasisFamily.of(3, [])
         sentinel = BasisFamily.empty(3, 1)
         assert sentinel.is_empty and len(sentinel) == 0
+        with pytest.raises(ValidationError, match=r"rank 4 out of range for n=3"):
+            BasisFamily.empty(3, 4)
+
+    def test_family_constructor_validates(self):
+        # a rank-2 family holding a 1-subset has no necklace to recover
+        with pytest.raises(ValidationError, match=r"basis \{1\} has size 1, expected 2"):
+            oracle_necklace(BasisFamily(3, 2, frozenset({Subset.of(3, [1])})))
+        with pytest.raises(ValidationError, match=r"basis \{1,2\} lives on n=4, expected n=3"):
+            BasisFamily(3, 2, frozenset({Subset.of(4, [1, 2])}))
+        with pytest.raises(TypeError, match="is not a Subset"):
+            BasisFamily(3, 2, frozenset({(1, 2)}))
+        for n, k in ((0, 0), (65, 1), (3, -1), (3, 4), (3, 1.0)):
+            with pytest.raises(ValidationError):
+                BasisFamily(n, k, frozenset())
+        family = BasisFamily(3, 2, frozenset({Subset.of(3, [1, 2]), Subset.of(3, [2, 3])}))
+        assert family == BasisFamily.of(3, [[1, 2], [2, 3]])
 
 
 class TestTextForms:

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
+    InvalidNecklaceError,
     MinorKind,
+    NecklaceViolation,
     PreconditionError,
     Subset,
     ValidationError,
@@ -17,6 +19,7 @@ from positroids import (
     contract_necklace,
     contraction_swap,
     dual,
+    format_necklace,
     gale_extremum,
     gale_leq,
     is_degenerate,
@@ -26,12 +29,13 @@ from positroids import (
     necklace_violations,
     oracle_contract,
     oracle_delete,
+    parse_necklace,
     perm_of,
     restrict,
     restrict_necklace,
     restriction_swap,
 )
-from positroids.core import _subset
+from positroids.core import _necklace, _subset
 
 
 @st.composite
@@ -287,3 +291,196 @@ def test_minor_composition_matches_oracle(p, data):
         return
     expected = oracle_delete(oracle_contract(family, j1), j2)
     assert bases_of(necklace_of(second.perm)).bases == expected.bases
+
+
+# The mask-level text boundary against Subset-level references written here.
+
+
+def reference_members(n, mask):
+    return tuple(i + 1 for i in range(n) if mask >> i & 1)
+
+
+def reference_violations(entries):
+    """necklace_violations, clause by clause on Subset operations."""
+    out = []
+    n = entries[0].n
+    for idx, e in enumerate(entries, start=1):
+        if e.n != n:
+            out.append(NecklaceViolation(idx, "shape", f"ground set n={e.n} differs from n={n}"))
+    if out:
+        return out
+    if len(entries) != n:
+        return [NecklaceViolation(0, "shape", f"{len(entries)} entries for ground set of size {n}")]
+    k = len(entries[0])
+    for idx, e in enumerate(entries, start=1):
+        if len(e) != k:
+            out.append(NecklaceViolation(idx, "size", f"size {len(e)} differs from size {k} of entry 1"))
+    for i in range(1, n + 1):
+        cur, nxt = entries[i - 1], entries[i % n]
+        after = i % n + 1
+        if i not in cur:
+            if nxt != cur:
+                out.append(NecklaceViolation(i, "step", f"{i} is absent from I_{i} but I_{after} != I_{i}"))
+        elif not cur.discard(i).issubset(nxt):
+            out.append(NecklaceViolation(i, "step", f"I_{after} loses more than element {i} from I_{i}"))
+        elif len(nxt - cur.discard(i)) != 1:
+            out.append(NecklaceViolation(i, "step", f"I_{after} must add exactly one element to I_{i} minus {i}"))
+    return out
+
+
+def reference_perm_of(entries):
+    """perm_of one element at a time: the gained element of each step."""
+    n = len(entries)
+    images, colors = [], {}
+    for i in range(1, n + 1):
+        cur, nxt = entries[i - 1], entries[i % n]
+        if i not in cur:
+            images.append(i)
+            colors[i] = 1
+            continue
+        gained = nxt - cur.discard(i)  # raises on mixed ground sets
+        if len(gained) != 1:
+            raise InvalidNecklaceError([NecklaceViolation(i, "step", "entry does not follow the step rule")])
+        images.append(gained.members[0])
+        if gained.members[0] == i:
+            colors[i] = -1
+    return DecoratedPermutation.of(images, colors)
+
+
+def validate_reference(entries):
+    bad = reference_violations(entries)
+    if bad:
+        raise InvalidNecklaceError(bad)
+    return GrassmannNecklace(tuple(entries))
+
+
+def outcome(fn, *args):
+    """A result, or the type, message and violations of the error raised."""
+    try:
+        return fn(*args)
+    except (ValidationError, TypeError) as err:
+        return type(err), str(err), getattr(err, "violations", None)
+
+
+@st.composite
+def mutated_necklaces(draw, max_n=64):
+    """A necklace with one entry changed by dropping, adding or moving one element.
+
+    Now and then the changed entry moves to a ground set one larger.
+    """
+    p = draw(decorated_perms(max_n=max_n))
+    n = p.n
+    entries = list(necklace_of(p).entries)
+    idx = draw(st.integers(0, n - 1))
+    members = list(entries[idx].members)
+    absent = [x for x in range(1, n + 1) if x not in members]
+    moves = ["drop"] * bool(members) + ["add"] * bool(absent) + ["move"] * bool(members and absent)
+    if moves:
+        move = draw(st.sampled_from(moves))
+        if move in ("drop", "move"):
+            members.remove(draw(st.sampled_from(members)))
+        if move in ("add", "move"):
+            members.append(draw(st.sampled_from(absent)))
+    ground = n + 1 if n < 64 and draw(st.integers(0, 9)) == 0 else n
+    entries[idx] = Subset.of(ground, members)
+    return entries
+
+
+@given(masks_with_start())
+@settings(max_examples=300)
+def test_members_match_the_bit_loop(case):
+    n, mask, _ = case
+    assert Subset(n, mask).members == reference_members(n, mask)
+    assert list(Subset(n, mask)) == list(reference_members(n, mask))
+    assert Subset.full(n).members == tuple(range(1, n + 1))
+    assert Subset(n, 1 << (n - 1)).members == (n,)
+
+
+@given(decorated_perms(max_n=64))
+@settings(max_examples=120, deadline=None)
+def test_necklace_text_round_trip(p):
+    necklace = necklace_of(p)
+    text = format_necklace(necklace)
+    assert text == ";".join(",".join(map(str, reference_members(p.n, e.mask))) for e in necklace.entries)
+    assert parse_necklace(text) == necklace
+    assert format_necklace(parse_necklace(text)) == text
+
+
+BAD_VALUES = st.one_of(
+    st.integers(max_value=0),
+    st.integers(min_value=65),
+    st.sampled_from((1.0, "1", None, 2.5, (1,))),
+)
+
+
+@given(st.integers(1, 64), st.data())
+@settings(max_examples=200)
+def test_subset_of_names_the_first_bad_element(n, data):
+    good = data.draw(st.lists(st.integers(1, n), max_size=8))
+    bad = data.draw(st.lists(st.one_of(BAD_VALUES, st.integers(n + 1, n + 3)), min_size=1, max_size=3))
+    elements = data.draw(st.permutations(good + bad))
+    first = next(e for e in elements if not (isinstance(e, int) and 1 <= e <= n))
+    with pytest.raises(ValidationError) as err:
+        Subset.of(n, elements)
+    assert str(err.value) == f"element {first!r} is out of range 1..{n}"
+    assert Subset.of(n, good + [True]) == Subset.of(n, good + [1])  # True is the int 1
+
+
+@given(decorated_perms(max_n=64), st.data())
+@settings(max_examples=200, deadline=None)
+def test_constructor_names_the_first_bad_image(p, data):
+    n = p.n
+    images = list(p.images)
+    positions = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+    for pos in positions:
+        images[pos - 1] = data.draw(st.one_of(BAD_VALUES, st.integers(n + 1, n + 3)))
+    pos = min(positions)
+    with pytest.raises(ValidationError) as err:
+        DecoratedPermutation(tuple(images), p.colors)
+    assert str(err.value) == f"image at position {pos} {images[pos - 1]!r} is out of range 1..{n}"
+
+
+@given(mutated_necklaces())
+@settings(max_examples=300, deadline=None)
+def test_violations_match_the_subset_level_check(entries):
+    assert necklace_violations(entries) == reference_violations(entries)
+    assert outcome(GrassmannNecklace, tuple(entries)) == outcome(validate_reference, entries)
+
+
+@given(mutated_necklaces())
+@settings(max_examples=300, deadline=None)
+def test_perm_of_matches_the_element_level_reading(entries):
+    # an unchecked necklace reaches perm_of's own step and ground-set checks
+    assert outcome(perm_of, _necklace(tuple(entries))) == outcome(reference_perm_of, entries)
+
+
+def passes_gale_bounds(necklace, h):
+    """H is a basis of the positroid exactly when I_t <=_t H for every t."""
+    return all(gale_leq(entry, h, t) for t, entry in enumerate(necklace.entries, start=1))
+
+
+@given(decorated_perms(max_n=64), st.data())
+@settings(max_examples=30, deadline=None)
+def test_dual_complement_law_by_gale_bounds(p, data):
+    n = p.n
+    full = (1 << n) - 1
+    necklace, dual_necklace = necklace_of(p), necklace_of(dual(p))
+
+    def complement(h):
+        return Subset(n, full ^ h.mask)
+
+    # every entry is a basis of p, so its complement is one of the dual
+    for entry in necklace.entries:
+        assert passes_gale_bounds(dual_necklace, complement(entry))
+    # single-exchange neighbours of the entries and random subsets of size k
+    candidates = []
+    for _ in range(6):
+        entry = data.draw(st.sampled_from(necklace.entries))
+        inside, outside = entry.members, complement(entry).members
+        if inside and outside:
+            x, y = data.draw(st.sampled_from(inside)), data.draw(st.sampled_from(outside))
+            candidates.append(entry.discard(x).add(y))
+        chosen = data.draw(st.permutations(range(1, n + 1)))[: necklace.k]
+        candidates.append(Subset.of(n, chosen))
+    for h in candidates:
+        assert passes_gale_bounds(necklace, h) == passes_gale_bounds(dual_necklace, complement(h))
