@@ -20,7 +20,10 @@ Validation happens once, at the boundary: the public constructors
 and the public functions check what they are given.  Values the library
 builds from values already checked are made with the private `_subset`,
 `_perm`, `_necklace` and `_family`, which skip the checks, and the hot loops
-and the checks themselves read masks and image tuples directly.
+and the checks themselves read masks and image tuples directly.  One
+exception: `oracle.oracle_necklace` returns the Gale minima of any family
+unchecked, and for a family that is not a matroid they need not form a
+Grassmann necklace.
 """
 
 from __future__ import annotations
@@ -296,9 +299,7 @@ class DecoratedPermutation:
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValidationError(f"color entry {pair!r} is not a (fixed point, color) pair")
             i, c = pair
-            # an int is a fixed point when it maps to itself; anything else is
-            # compared with each fixed point in turn
-            if not (images[i - 1] == i if type(i) is int and 1 <= i <= n else i in fixed):
+            if i not in fixed:
                 raise ValidationError(f"color given for {i}, which is not a fixed point")
             if c not in (-1, 1):
                 raise ValidationError(f"color of {i} must be +1 or -1, got {c!r}")
@@ -398,7 +399,9 @@ class GrassmannNecklace:
 
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
     element, otherwise I_{i+1} = I_i.  Indices are cyclic, so entry(n+1) is
-    entry(1).  The constructor checks the entries like validate_necklace.
+    entry(1).  The constructor checks the entries like validate_necklace;
+    `oracle.oracle_necklace` builds its value without the check and, for a
+    family that is not a matroid, can return one that breaks the step rule.
     """
 
     entries: tuple[Subset, ...]
