@@ -545,10 +545,7 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
             images[i - 1] = i
             colors[i] = 1
             continue
-        nxt = entries[i % n]
-        if nxt.n != cur.n:
-            raise ValidationError(f"mixed ground sets: n={nxt.n} vs n={cur.n}")
-        gained = nxt.mask & ~(cur.mask ^ bit)
+        gained = entries[i % n].mask & ~(cur.mask ^ bit)
         if gained.bit_count() != 1:
             raise InvalidNecklaceError([NecklaceViolation(i, "step", "entry does not follow the step rule")])
         j = gained.bit_length()

@@ -4,6 +4,12 @@ Everything here works on explicit basis families by set arithmetic, with no
 reliance on the walk algorithms or the necklace swap formulas, so it serves
 as an independent check of both.  Sizes are desk-scale: enumeration walks
 all n! * 2^(fixed points) decorated permutations, so n is capped.
+
+The public functions take and return `BasisFamily` values at any n.  Inside
+the sweep a family is a bit vector of 2^n bits instead, one int whose bit m
+is set when the subset with mask m is a basis, so that minors, Gale minima
+and family equality are a few big-int operations each; the set-based public
+functions are the reference the bit helpers are tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .core import (
     DecoratedPermutation,
     GrassmannNecklace,
     PreconditionError,
-    Subset,
     ValidationError,
     _check_element,
     _check_n,
@@ -48,8 +53,10 @@ from .minors import (
 ENUMERATION_CAP = 10
 
 # Families the per-sweep bases memo holds before it starts over: every
-# necklace of n = 7 fits (13,700 decorated permutations), at under 200 bytes
-# a family (1,957 families of n = 6 take 0.3 MB).
+# necklace of n = 7 fits (13,700 decorated permutations).  A family is a bit
+# vector of 2^n bits, so an entry is one int of 2^n / 8 bytes plus its key
+# tuple and dict slot: about 0.24 KB at n = 7 and 0.66 KB at n = 10, so a
+# full memo takes about 4 MB at n = 7 and at most 11 MB.
 BASES_MEMO_CAP = 1 << 14
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
@@ -98,14 +105,9 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
 
 def is_positroid(family: BasisFamily) -> bool:
     """Whether the family is exactly cut out by its own Gale minima."""
-    return _is_positroid(family, bases_of)
-
-
-def _is_positroid(family, bases):
-    """is_positroid with the necklace-to-bases function passed in."""
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
-    return bases(oracle_necklace(family)).bases == family.bases
+    return bases_of(oracle_necklace(family)).bases == family.bases
 
 
 def check_matroid(family: BasisFamily) -> bool:
@@ -212,38 +214,89 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
     return failures
 
 
-def _verify_instance(p, necklace, family, j, kind, bases):
+def _element_planes(n):
+    """P_1..P_n on bit vectors of 2^n bits: bit m of P_e is set when m holds e."""
+    size = 1 << n
+    planes = []
+    for e in range(n):
+        half = 1 << e
+        # one period of 2 * half bits, its upper half set, repeated to 2^n bits
+        period = ((1 << half) - 1) << half
+        planes.append(period * (((1 << size) - 1) // ((1 << 2 * half) - 1)))
+    return tuple(planes)
+
+
+def _contract_bits(bits, planes, j):
+    """oracle_contract on bit vectors: the bases through j, with j removed."""
+    return (bits & planes[j - 1]) >> (1 << (j - 1))
+
+
+def _delete_bits(bits, planes, j):
+    """oracle_delete on bit vectors: the bases avoiding j."""
+    return bits & ~planes[j - 1]
+
+
+def _gale_minima(bits, planes):
+    """oracle_necklace on bit vectors: the entry masks, or None when empty.
+
+    For each start t the elements are taken in the shifted order from t, and
+    the bases holding e are kept whenever there are any.  The survivors then
+    agree on every element, so exactly one is left; among sets of equal size
+    it is the lexicographic, hence the Gale, minimum.
+    """
+    if not bits:
+        return None
+    n = len(planes)
+    minima = []
+    for t in range(n):
+        cand = bits
+        for plane in planes[t:] + planes[:t]:
+            hit = cand & plane
+            if hit:
+                cand = hit
+        minima.append(cand.bit_length() - 1)
+    return tuple(minima)
+
+
+def _verify_instance(p, necklace, family, j, kind, bases, planes):
     """Run every oracle comparison for one (perm, j, kind) instance.
 
     Returns (degenerate, failure tags).  Degenerate instances only assert
     the identity convention; everything else is checked against the brute
     force route and the structural expectations (j becomes a loop, rank
-    drops by one under contraction and holds under restriction).  `bases`
-    is the sweep's bases_of memo.  The per-kind routines are looked up when
-    called, so a patched module binding is the one checked.
+    drops by one under contraction and holds under restriction).  `family`
+    is p's basis family as a bit vector, `bases` the sweep's bases_of memo
+    and `planes` the sweep's element planes.  The per-kind routines and the
+    bit helpers are looked up when called, so a patched module binding is
+    the one checked.
     """
     failures = []
-    n, k = family.n, family.k
+    n, k = necklace.n, necklace.k
     contracting = kind is MinorKind.CONTRACTION
     result = (contract if contracting else restrict)(p, j)
     if is_degenerate(p, j, kind):
         if result != DecoratedPermutation.identity(n, 1):
             failures.append("convention")
         return True, failures
-    oracle_family = (oracle_contract if contracting else oracle_delete)(family, j)
+    # the bases through j when contracting, avoiding j when restricting;
+    # avoiding j they are the oracle's deletion itself
+    if contracting:
+        oracle_family = _contract_bits(family, planes, j)
+        kept = family & planes[j - 1]
+    else:
+        oracle_family = kept = _delete_bits(family, planes, j)
     result_necklace = necklace_of(result)
-    if bases(result_necklace).bases != oracle_family.bases:
+    if bases(result_necklace) != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
-    # the bases through j when contracting, avoiding j when restricting
-    bit = 1 << (j - 1)
-    kept = _family(n, k, frozenset(h for h in family.bases if bool(h.mask & bit) is contracting))
-    if oracle_necklace(kept) != minor_necklace:
+    kept_minima = _gale_minima(kept, planes)
+    if kept_minima != tuple(e.mask for e in minor_necklace.entries):
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
     agreed = minor_necklace
     if contracting:
+        bit = 1 << (j - 1)
         agreed = _necklace(tuple(_subset(n, e.mask & ~bit) for e in minor_necklace.entries))
     if result_necklace != agreed:
         failures.append("necklace-agreement")
@@ -255,7 +308,9 @@ def _verify_instance(p, necklace, family, j, kind, bases):
             failures.append("convention")
     else:
         failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-    if not _is_positroid(oracle_family, bases):
+    # positroid closure: the oracle family is cut out by its own Gale minima
+    minima = _gale_minima(oracle_family, planes) if contracting else kept_minima
+    if minima is None or bases.of_masks(minima) != oracle_family:
         failures.append("closure")
     if loop_coloop_status(result, j) != "loop" or result_necklace.k != (k - 1 if contracting else k):
         failures.append("structure")
@@ -263,39 +318,30 @@ def _verify_instance(p, necklace, family, j, kind, bases):
 
 
 class _BasesMemo:
-    """bases_of for one sweep, memoised on the necklace's entry masks.
+    """bases_of for one sweep as bit vectors, memoised on the entry masks.
 
     A basis is a k-subset Gale-above every entry, so the family depends on
-    the entry masks alone.  Each family is kept as one int whose bit m is
-    set when the subset with mask m is a basis, and comes back built from a
-    table of shared Subsets, keyed by mask: one memo serves one ground set
-    size.  At BASES_MEMO_CAP families the memo starts over.
+    the entry masks alone.  Each family is kept as one int of 2^n bits, bit
+    m set when the subset with mask m is a basis; one memo serves one ground
+    set size.  At BASES_MEMO_CAP families the memo starts over.
     """
 
     def __init__(self):
         self.families: dict[tuple[int, ...], int] = {}
-        self.subsets: dict[int, Subset] = {}
 
-    def __call__(self, necklace: GrassmannNecklace) -> BasisFamily:
-        key = tuple(e.mask for e in necklace.entries)
+    def __call__(self, necklace: GrassmannNecklace) -> int:
+        return self.of_masks(tuple(e.mask for e in necklace.entries))
+
+    def of_masks(self, key: tuple[int, ...]) -> int:
+        """The family, as a bit vector, of the necklace with these entry masks."""
         bits = self.families.get(key)
         if bits is None:
-            family = bases_of(necklace)
             if len(self.families) >= BASES_MEMO_CAP:
                 self.families.clear()
-            bits = 0
-            for h in family.bases:
-                bits |= 1 << h.mask
-                self.subsets.setdefault(h.mask, h)
-            self.families[key] = bits
-            return family
-        subsets = self.subsets
-        found = []
-        while bits:
-            low = bits & -bits
-            found.append(subsets[low.bit_length() - 1])
-            bits ^= low
-        return _family(len(key), key[0].bit_count(), frozenset(found))
+            n = len(key)
+            necklace = _necklace(tuple(_subset(n, m) for m in key))
+            bits = self.families[key] = sum(1 << h.mask for h in bases_of(necklace).bases)
+        return bits
 
 
 def _sweep(n, kind_values, stride, offset):
@@ -317,6 +363,7 @@ def _sweep(n, kind_values, stride, offset):
             first_key = key
             first_msg = msg
     bases = _BasesMemo()
+    planes = _element_planes(n)
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
             continue
@@ -324,11 +371,11 @@ def _sweep(n, kind_values, stride, offset):
         if perm_of(necklace) != p:
             record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
         family = bases(necklace)
-        if oracle_necklace(family) != necklace:
+        if _gale_minima(family, planes) != tuple(e.mask for e in necklace.entries):
             record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
         for j in range(1, n + 1):
             for kind in kinds:
-                skipped, fails = _verify_instance(p, necklace, family, j, kind, bases)
+                skipped, fails = _verify_instance(p, necklace, family, j, kind, bases, planes)
                 if skipped:
                     degenerate += 1
                 else:

@@ -32,7 +32,6 @@ from positroids import (
     validate_necklace,
 )
 from positroids import core
-from positroids.core import _necklace
 from positroids.minors import contract_necklace
 
 GOLDEN_PERM = "8,1,4,2,5+,7,3,6"
@@ -286,13 +285,6 @@ class TestNecklaceValidation:
         monkeypatch.setattr(core, "necklace_violations", counted)
         validate_necklace([Subset.of(2, [1]), Subset.of(2, [2])])
         assert len(calls) == 1
-
-    def test_perm_of_rejects_mixed_ground_sets(self):
-        # only an unchecked necklace can mix ground sets; read naively by
-        # masks it would give 2,3,1
-        necklace = _necklace((Subset.of(3, [1]), Subset.of(4, [2]), Subset.of(3, [3])))
-        with pytest.raises(ValidationError, match=r"^mixed ground sets: n=4 vs n=3$"):
-            perm_of(necklace)
 
     def test_all_violations_reported(self):
         entries = [Subset.of(3, [1]), Subset.of(3, [3]), Subset.of(3, [2])]

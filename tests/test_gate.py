@@ -1,0 +1,228 @@
+"""Planted-fault gate: every check of the exhaustive sweep still fires.
+
+Each row plants one deliberate fault, patched onto the module that defines
+the function and onto the oracle's binding of it, runs `verify_all(4)` and
+asserts the exact failure tags and the first failure the sweep reports.
+Across the table every tag the verifier can emit appears at least once, so
+a check that stops firing fails this file.
+"""
+
+import pytest
+
+import positroids.core
+import positroids.minors
+import positroids.oracle
+from positroids import DecoratedPermutation, dual, verify_all
+from positroids.core import _family, _necklace
+
+
+def contract_stopping_early(real):
+    # the walk stops one square early: the square just before the preimage
+    # of j is never tested, so its image is never swapped
+    def contract(p, j):
+        images = p.images
+        n = len(images)
+        if images[j - 1] == j:
+            return real(p, j)
+        mu = list(images)
+        mu[j - 1] = j
+        q = images[j - 1]
+        a = j % n + 1
+        while images[a - 1] != j:
+            pa = images[a - 1]
+            t = a % n + 1
+            if images[t - 1] != j and (q == a or ((q - t) % n < (pa - t) % n < (j - t) % n)):
+                mu[a - 1] = q
+                q = pa
+            a = t
+        mu[a - 1] = q
+        return DecoratedPermutation.of(tuple(mu), positroids.minors._rebuild_colors(p, mu))
+
+    return contract
+
+
+def new_fixed_points_coloured_coloops(real):
+    def rebuild_colors(p, mu):
+        old = dict(p.colors)
+        return {i: old.get(i, -1) for i in range(1, len(mu) + 1) if mu[i - 1] == i}
+
+    return rebuild_colors
+
+
+def restrict_without_recolouring(real):
+    def restrict(p, j):
+        if p.image(j) == j:
+            return real(p, j)
+        return dual(positroids.minors.contract(dual(p), j))
+
+    return restrict
+
+
+def swap_read_one_late(real):
+    def swap(necklace, j, a):
+        return real(necklace, j, a % necklace.n + 1)
+
+    return swap
+
+
+def contract_necklace_skipping_entry_1(real):
+    def contract_necklace(necklace, j):
+        return _necklace((necklace.entries[0],) + real(necklace, j).entries[1:])
+
+    return contract_necklace
+
+
+def restrict_necklace_leaving_j_once(real):
+    # the first entry holding j keeps it
+    def restrict_necklace(necklace, j):
+        entries = list(real(necklace, j).entries)
+        for a, entry in enumerate(necklace.entries):
+            if j in entry:
+                entries[a] = entry
+                break
+        return _necklace(tuple(entries))
+
+    return restrict_necklace
+
+
+def perm_of_flipping_a_coloop(real):
+    def perm_of(necklace):
+        p = real(necklace)
+        coloops = [i for i, color in p.colors if color == -1]
+        return p.with_color(coloops[0], 1) if coloops else p
+
+    return perm_of
+
+
+def bases_of_dropping_one(real):
+    # the lowest basis of every family with more than one
+    def bases_of(necklace):
+        family = real(necklace)
+        if len(family) < 2:
+            return family
+        return _family(family.n, family.k, family.bases - {min(family.bases, key=lambda h: h.mask)})
+
+    return bases_of
+
+
+def bit_deletion_dropping_one(real):
+    def delete_bits(bits, planes, j):
+        kept = real(bits, planes, j)
+        rest = kept & (kept - 1)  # without its lowest basis
+        return rest if rest else kept
+
+    return delete_bits
+
+
+def contract_keeping_a_coloop(real):
+    # contracting a coloop must recolour it as a loop
+    def contract(p, j):
+        if p.image(j) == j and p.color(j) == -1:
+            return p
+        return real(p, j)
+
+    return contract
+
+
+# (function name, fault, check_failures, first_failure after "n=4 ")
+GATE = [
+    pytest.param(
+        "contract", contract_stopping_early,
+        {"oracle": 56, "necklace-agreement": 56, "color-flip": 28, "square-pattern": 56, "structure": 48,
+         "commutation": 36},
+        "perm=1-,3,4,2 j=2 kind=contraction: oracle, necklace-agreement, color-flip, square-pattern, structure",
+        id="contract-stops-one-square-early",
+    ),
+    pytest.param(
+        "_rebuild_colors", new_fixed_points_coloured_coloops,
+        {"oracle": 224, "necklace-agreement": 224, "color-flip": 92, "structure": 224},
+        "perm=1-,2-,4,3 j=3 kind=contraction: oracle, necklace-agreement, color-flip, structure",
+        id="new-fixed-point-coloured-coloop",
+    ),
+    pytest.param(
+        "restrict", restrict_without_recolouring,
+        {"oracle": 132, "necklace-agreement": 132, "structure": 132},
+        "perm=1-,2-,4,3 j=3 kind=restriction: oracle, necklace-agreement, structure",
+        id="restrict-skips-with-color",
+    ),
+    pytest.param(
+        "contraction_swap", swap_read_one_late,
+        {"square-pattern": 132},
+        "perm=1-,2-,4,3 j=3 kind=contraction: square-pattern",
+        id="contraction-swap-one-late",
+    ),
+    pytest.param(
+        "restriction_swap", swap_read_one_late,
+        {"square-pattern": 132},
+        "perm=1-,2-,4,3 j=3 kind=restriction: square-pattern",
+        id="restriction-swap-one-late",
+    ),
+    pytest.param(
+        "contract_necklace", contract_necklace_skipping_entry_1,
+        {"necklace-formula": 66, "necklace-agreement": 66, "color-flip": 66, "commutation": 66},
+        "perm=1-,2-,4,3 j=4 kind=contraction: necklace-formula, necklace-agreement, color-flip, commutation",
+        id="contract-necklace-skips-entry-1",
+    ),
+    pytest.param(
+        "restrict_necklace", restrict_necklace_leaving_j_once,
+        {"necklace-formula": 132, "necklace-agreement": 132, "commutation": 132},
+        "perm=1-,2-,4,3 j=3 kind=restriction: necklace-formula, necklace-agreement, commutation",
+        id="restrict-necklace-leaves-j-once",
+    ),
+    pytest.param(
+        "perm_of", perm_of_flipping_a_coloop,
+        {"round-trip": 41},
+        "perm=1-,2-,3-,4-: round-trip",
+        id="perm-of-flips-a-coloop",
+    ),
+    pytest.param(
+        "bases_of", bases_of_dropping_one,
+        {"min-recovery": 49, "necklace-formula": 196, "oracle": 112, "closure": 148},
+        "perm=1-,2-,4,3: min-recovery",
+        id="bases-of-drops-one-basis",
+    ),
+    pytest.param(
+        "_delete_bits", bit_deletion_dropping_one,
+        {"oracle": 88, "necklace-formula": 88},
+        "perm=1-,2+,4,3 j=2 kind=restriction: oracle, necklace-formula",
+        id="bit-deletion-drops-one-basis",
+    ),
+    # none of the rows above reaches the convention check
+    pytest.param(
+        "contract", contract_keeping_a_coloop,
+        {"oracle": 64, "necklace-agreement": 64, "convention": 64, "structure": 64},
+        "perm=1-,2-,3-,4- j=1 kind=contraction: oracle, necklace-agreement, convention, structure",
+        id="contract-keeps-a-coloop",
+    ),
+]
+
+TAGS = {
+    "round-trip", "min-recovery", "oracle", "necklace-formula", "necklace-agreement", "color-flip",
+    "convention", "commutation", "square-pattern", "closure", "structure",
+}
+
+
+def plant(monkeypatch, name, fault):
+    """Replace `name` where it is defined and where the oracle looks it up."""
+    modules = [m for m in (positroids.core, positroids.minors) if hasattr(m, name)]
+    real = getattr(modules[0] if modules else positroids.oracle, name)
+    fake = fault(real)
+    for module in {*modules, positroids.oracle}:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fake)
+
+
+@pytest.mark.parametrize("name, fault, failures, first", GATE)
+def test_planted_fault_is_reported(monkeypatch, name, fault, failures, first):
+    plant(monkeypatch, name, fault)
+    report = verify_all(4)
+    assert report.mismatches > 0
+    assert report.check_failures == failures
+    assert report.first_failure == f"n=4 {first}"
+
+
+def test_every_tag_is_planted():
+    planted = set()
+    for row in GATE:
+        planted |= set(row.values[2])
+    assert planted == TAGS

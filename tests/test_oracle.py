@@ -3,15 +3,20 @@
 import concurrent.futures
 import gc
 import weakref
+from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import positroids.core
 import positroids.oracle
 from positroids import (
     BasisFamily,
+    DecoratedPermutation,
     MinorKind,
     PreconditionError,
+    Subset,
     ValidationError,
     bases_of,
     check_matroid,
@@ -25,6 +30,11 @@ from positroids import (
     parse_perm,
     verify_all,
 )
+
+
+def to_bits(family):
+    """The family as a bit vector: bit m set when the subset with mask m is a basis."""
+    return sum(1 << s.mask for s in family.bases)
 
 
 def two_subsets_of_triangle():
@@ -199,7 +209,7 @@ class TestBasesMemo:
         memo = positroids.oracle._BasesMemo()
         for p in enumerate_decorated_perms(4):
             necklace = necklace_of(p)
-            expected = bases_of(necklace)
+            expected = to_bits(bases_of(necklace))
             assert memo(necklace) == expected  # miss
             assert memo(necklace) == expected  # hit
 
@@ -208,7 +218,7 @@ class TestBasesMemo:
         memo = positroids.oracle._BasesMemo()
         for p in enumerate_decorated_perms(3):
             necklace = necklace_of(p)
-            assert memo(necklace) == bases_of(necklace)
+            assert memo(necklace) == to_bits(bases_of(necklace))
             assert len(memo.families) <= 3
         report = verify_all(4)
         assert (report.instances_checked, report.degenerate_skipped, report.mismatches) == (392, 128, 0)
@@ -247,6 +257,67 @@ class TestBasesMemo:
         assert report.mismatches == 0
         gc.collect()
         assert made and all(ref() is None for ref in made)
+
+
+def assert_bits_match_the_set_oracle(family, memo):
+    """The sweep's bit helpers against the set-based public oracle."""
+    n = family.n
+    planes = positroids.oracle._element_planes(n)
+    bits = to_bits(family)
+    for j in range(1, n + 1):
+        assert positroids.oracle._contract_bits(bits, planes, j) == to_bits(oracle_contract(family, j))
+        assert positroids.oracle._delete_bits(bits, planes, j) == to_bits(oracle_delete(family, j))
+    necklace = oracle_necklace(family)
+    minima = tuple(e.mask for e in necklace.entries)
+    assert positroids.oracle._gale_minima(bits, planes) == minima
+    expected = to_bits(bases_of(necklace))
+    assert memo.of_masks(minima) == expected
+    assert memo(necklace) == expected
+
+
+class TestBitFamilies:
+    """Bit-vector families inside the sweep agree with the set-based functions."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_element_planes(self, n):
+        planes = positroids.oracle._element_planes(n)
+        assert len(planes) == n
+        for e, plane in enumerate(planes, start=1):
+            assert plane == sum(1 << m for m in range(1 << n) if m >> (e - 1) & 1)
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 3)]
+    )
+    def test_every_equal_size_family(self, n, k):
+        # every non-empty family of k-subsets, matroid or not
+        subsets = [Subset.of(n, c) for c in combinations(range(1, n + 1), k)]
+        memo = positroids.oracle._BasesMemo()
+        for chosen in range(1, 1 << len(subsets)):
+            family = BasisFamily(n, k, frozenset(s for i, s in enumerate(subsets) if chosen >> i & 1))
+            assert_bits_match_the_set_oracle(family, memo)
+
+    def test_empty_family_has_no_minima(self):
+        for n in range(1, 5):
+            assert positroids.oracle._gale_minima(0, positroids.oracle._element_planes(n)) is None
+
+
+@st.composite
+def equal_size_families(draw, max_n=10):
+    """A non-empty family of k-subsets: random sets, or the bases of a random positroid."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        images = tuple(draw(st.permutations(list(range(1, n + 1)))))
+        colors = {i: draw(st.sampled_from((-1, 1))) for i in range(1, n + 1) if images[i - 1] == i}
+        return bases_of(necklace_of(DecoratedPermutation.of(images, colors)))
+    k = draw(st.integers(0, n))
+    sets = draw(st.lists(st.sets(st.integers(1, n), min_size=k, max_size=k), min_size=1, max_size=40))
+    return BasisFamily.of(n, sets)
+
+
+@given(equal_size_families())
+@settings(max_examples=150, deadline=None)
+def test_bit_families_match_the_set_oracle(family):
+    assert_bits_match_the_set_oracle(family, positroids.oracle._BasesMemo())
 
 
 def test_gale_key_cache_is_bounded():
