@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 MAX_GROUND_SET = 64
 
@@ -185,22 +184,23 @@ def _subset(n: int, mask: int) -> Subset:
     return s
 
 
-def _gale_key_direct(n: int, t: int, mask: int) -> tuple[int, ...]:
-    return tuple(sorted((p + 1 - t) % n for p in range(n) if mask >> p & 1))
+def _gale_bounds(mask: int, t: int, n: int) -> list[tuple[int, int]]:
+    """(prefix, count) pairs: h >=_t mask, for h of mask's size, exactly when
+    (h & prefix).bit_count() <= count for every pair.
 
-
-# An exhaustive sweep at n = 6 asks for at most 6 * 2^6 keys; the bound keeps
-# a long-lived process from growing towards 16 * 2^16 of them.
-@lru_cache(maxsize=1 << 16)
-def _gale_key_cached(n: int, t: int, mask: int) -> tuple[int, ...]:
-    return _gale_key_direct(n, t, mask)
-
-
-def _gale_keyer(n: int):
-    """The function (n, t, mask) -> Gale key to use on an n-element ground set."""
-    # Small ground sets dominate (exhaustive sweeps re-ask for the same keys
-    # constantly); beyond 16 elements the cache would just balloon.
-    return _gale_key_cached if n <= 16 else _gale_key_direct
+    The i-th member x of mask in the order from t is at most the i-th member
+    of h exactly when fewer than i members of h come before x.
+    """
+    below = (1 << (t - 1)) - 1  # elements 1..t-1, which come last from t
+    above = ((1 << n) - 1) ^ below
+    pairs = []
+    # a member x >= t is preceded by t..x-1, a member x < t by t..n and 1..x-1
+    for part, before, skip in ((mask & above, 0, below), (mask & below, above, 0)):
+        while part:
+            low = part & -part
+            part ^= low
+            pairs.append((before | ((low - 1) ^ skip), len(pairs)))
+    return pairs
 
 
 def gale_leq(a: Subset, b: Subset, t: int) -> bool:
@@ -214,12 +214,9 @@ def gale_leq(a: Subset, b: Subset, t: int) -> bool:
         raise TypeError("gale_leq expects Subset operands")
     a._same_ground(b)
     _check_element(t, a.n, "start")
-    gale_key = _gale_keyer(a.n)
-    ka = gale_key(a.n, t, a.mask)
-    kb = gale_key(b.n, t, b.mask)
-    if len(ka) != len(kb):
-        raise ValidationError(f"Gale order compares equal-size subsets, got sizes {len(ka)} and {len(kb)}")
-    return all(x <= y for x, y in zip(ka, kb))
+    if len(a) != len(b):
+        raise ValidationError(f"Gale order compares equal-size subsets, got sizes {len(a)} and {len(b)}")
+    return all((b.mask & prefix).bit_count() <= count for prefix, count in _gale_bounds(a.mask, t, a.n))
 
 
 def gale_extremum(d: Subset, t: int, direction: str = "max") -> int:
@@ -559,29 +556,22 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     """All k-subsets lying Gale-above every necklace entry.
 
     H is a basis exactly when I_t <=_t H for each starting point t; the
-    necklace entries are the Gale minima of the family they cut out.
+    necklace entries are the Gale minima of the family they cut out.  Each
+    bound is a list of prefix-count tests (`_gale_bounds`); the tests of all
+    n entries are pooled, less duplicates and those every k-subset passes.
     """
     from itertools import combinations
 
     n, k = necklace.n, necklace.k
-    gale_key = _gale_keyer(n)
-    bounds = [gale_key(n, t, e.mask) for t, e in enumerate(necklace.entries, start=1)]
+    bounds = {pair for t, e in enumerate(necklace.entries, start=1) for pair in _gale_bounds(e.mask, t, n)}
+    tests = [(prefix, count) for prefix, count in bounds if prefix.bit_count() > count]
     found = []
-    for combo in combinations(range(n), k):
-        mask = 0
-        for p in combo:
-            mask |= 1 << p
-        ok = True
-        for t in range(1, n + 1):
-            key = gale_key(n, t, mask)
-            low = bounds[t - 1]
-            for x, y in zip(low, key):
-                if x > y:
-                    ok = False
-                    break
-            if not ok:
+    for combo in combinations([1 << p for p in range(n)], k):
+        mask = sum(combo)
+        for prefix, count in tests:
+            if (mask & prefix).bit_count() > count:
                 break
-        if ok:
+        else:
             found.append(_subset(n, mask))
     return _family(n, k, frozenset(found))
 

@@ -28,6 +28,7 @@ from .core import (
     GrassmannNecklace,
     PreconditionError,
     Subset,
+    ValidationError,
     _check_element,
     _necklace,
     _shifted_max,
@@ -160,6 +161,12 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     return _necklace(tuple(entries))
 
 
+def _check_kind(kind: MinorKind) -> None:
+    # an isinstance test, not MinorKind(kind): is_degenerate runs once per sweep instance
+    if not isinstance(kind, MinorKind):
+        raise ValidationError(f"kind must be a MinorKind, got {kind!r}")
+
+
 def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
     # p's fixed points keep their colors; the walk's new ones are loops
     old = dict(p.colors)
@@ -168,6 +175,7 @@ def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
 
 def is_degenerate(p: DecoratedPermutation, j: int, kind: MinorKind) -> bool:
     """True when the minor falls back to the identity convention."""
+    _check_kind(kind)
     if p.image(j) != j:
         return False
     bad = 1 if kind is MinorKind.CONTRACTION else -1
@@ -235,6 +243,7 @@ class MinorResult:
 
 def apply_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorResult:
     """Contract or restrict, reporting whether the convention fallback fired."""
+    _check_kind(kind)
     op = contract if kind is MinorKind.CONTRACTION else restrict
     return MinorResult(op(p, j), is_degenerate(p, j, kind))
 
@@ -251,6 +260,7 @@ def classify_square(
     The necklace must be necklace_of(p), passed in so repeated calls do not
     recompute it.  Requires j not fixed (fixed j has no walk to classify).
     """
+    _check_kind(kind)
     n = p.n
     _check_element(j, n)
     _check_element(a, n)
@@ -313,6 +323,7 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     minor images read off the rows reproduce contract(p, j) or restrict(p, j)
     exactly, and consecutive rows satisfy the necklace step rule.
     """
+    _check_kind(kind)
     _check_element(j, p.n)
     if p.image(j) == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to trace")

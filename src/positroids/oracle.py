@@ -16,20 +16,19 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import asdict, dataclass
 from itertools import permutations, product
 
 from .core import (
     BasisFamily,
     DecoratedPermutation,
     GrassmannNecklace,
+    PositroidError,
     PreconditionError,
     ValidationError,
     _check_element,
     _check_n,
     _family,
-    _gale_keyer,
     _necklace,
     _perm,
     _subset,
@@ -97,10 +96,10 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
     if family.is_empty:
         raise PreconditionError("the empty family has no necklace")
     n = family.n
-    gale_key = _gale_keyer(n)
-    masks = [h.mask for h in family.bases]
-    # a Gale key determines its subset, so the minimum is unique
-    return _necklace(tuple(_subset(n, min(masks, key=partial(gale_key, n, t))) for t in range(1, n + 1)))
+    # bases as bit strings, element 1 first: read from t, the least basis holds
+    # the first element where two differ, so its string is the greatest
+    rows = {format(h.mask, f"0{n}b")[::-1]: h for h in family.bases}
+    return _necklace(tuple(rows[max(rows, key=lambda row: row[t:] + row[:t])] for t in range(n)))
 
 
 def is_positroid(family: BasisFamily) -> bool:
@@ -135,11 +134,11 @@ def check_matroid(family: BasisFamily) -> bool:
     return True
 
 
-def enumerate_decorated_perms(n: int, cap: int = ENUMERATION_CAP):
+def enumerate_decorated_perms(n: int):
     """All decorated permutations of {1..n}, lex by images then colors."""
     _check_n(n)
-    if n > cap:
-        raise ValidationError(f"n={n} exceeds the enumeration cap of {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValidationError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     for images in permutations(range(1, n + 1)):
         fixed = [i for i in range(1, n + 1) if images[i - 1] == i]
         for signs in product((-1, 1), repeat=len(fixed)):
@@ -165,16 +164,7 @@ class VerificationReport:
         )
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "instances_checked": self.instances_checked,
-            "degenerate_skipped": self.degenerate_skipped,
-            "mismatches": self.mismatches,
-            "check_failures": dict(self.check_failures),
-            "first_failure": self.first_failure,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def _check_squares(p, necklace, minor_necklace, result, j, kind):
@@ -375,7 +365,12 @@ def _sweep(n, kind_values, stride, offset):
             record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
         for j in range(1, n + 1):
             for kind in kinds:
-                skipped, fails = _verify_instance(p, necklace, family, j, kind, bases, planes)
+                try:
+                    skipped, fails = _verify_instance(p, necklace, family, j, kind, bases, planes)
+                    shown = fails
+                except PositroidError as err:
+                    # an invalid value built by a routine under test fails the instance, not the sweep
+                    skipped, fails, shown = False, ["raised"], [f"raised {type(err).__name__}: {err}"]
                 if skipped:
                     degenerate += 1
                 else:
@@ -383,7 +378,7 @@ def _sweep(n, kind_values, stride, offset):
                 if fails:
                     record(
                         (idx, j, kind.value),
-                        f"n={n} perm={format_perm(p)} j={j} kind={kind.value}: {', '.join(fails)}",
+                        f"n={n} perm={format_perm(p)} j={j} kind={kind.value}: {', '.join(shown)}",
                         fails,
                     )
     return {
@@ -406,8 +401,10 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     Sweeps every decorated permutation of {1..n} and every j, checking the
     permutation walk and the necklace swap formula against brute-force set
     arithmetic, plus round trips, square commutation, positroid closure, and
-    the degenerate conventions.  jobs > 1 splits the sweep across processes;
-    results are merged deterministically.
+    the degenerate conventions.  A `PositroidError` raised while checking an
+    instance fails that instance under the tag `raised`, and the sweep goes
+    on.  jobs > 1 splits the sweep across processes; results are merged
+    deterministically.
     """
     kinds = frozenset(kinds)
     if not kinds or not kinds <= BOTH_KINDS:

@@ -2,7 +2,9 @@
 
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from positroids import (
     BasisFamily,
@@ -60,6 +62,20 @@ def naive_bases(entries, n, k):
         if all(naive_gale_leq(entries[t - 1], combo, t, n) for t in range(1, n + 1)):
             out.add(frozenset(combo))
     return out
+
+
+@st.composite
+def decorated_perms(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    images = draw(st.permutations(range(1, n + 1)))
+    colors = {i: draw(st.sampled_from((-1, 1))) for i, v in enumerate(images, start=1) if v == i}
+    return DecoratedPermutation.of(images, colors)
+
+
+def assert_bases_match_naive_filter(necklace):
+    got = {frozenset(s.members) for s in bases_of(necklace).bases}
+    expected = naive_bases([set(e.members) for e in necklace.entries], necklace.n, necklace.k)
+    assert got == expected, format_necklace(necklace)
 
 
 class TestSubset:
@@ -318,12 +334,15 @@ class TestBases:
         assert len(got) == 16
 
     def test_exhaustive_against_naive_filter(self):
-        # every valid necklace reachable from a permutation at n=4
-        for p in enumerate_decorated_perms(4):
-            necklace = necklace_of(p)
-            got = {frozenset(s.members) for s in bases_of(necklace).bases}
-            expected = naive_bases([set(e.members) for e in necklace.entries], 4, necklace.k)
-            assert got == expected, p
+        # every necklace with n <= 6, one per decorated permutation
+        for n in range(1, 7):
+            for p in enumerate_decorated_perms(n):
+                assert_bases_match_naive_filter(necklace_of(p))
+
+    @given(decorated_perms(max_n=14))
+    @settings(max_examples=40, deadline=None)
+    def test_random_against_naive_filter(self, p):
+        assert_bases_match_naive_filter(necklace_of(p))
 
     def test_family_type(self):
         family = BasisFamily.of(3, [[1, 2], [1, 3]])

@@ -41,6 +41,30 @@ def contract_stopping_early(real):
     return contract
 
 
+def contract_leaving_j_on_its_preimage(real):
+    # the walk never sets down the carried image, so the preimage of j keeps
+    # j and the result is not a permutation
+    def contract(p, j):
+        images = p.images
+        n = len(images)
+        if images[j - 1] == j:
+            return real(p, j)
+        mu = list(images)
+        mu[j - 1] = j
+        q = images[j - 1]
+        a = j % n + 1
+        while images[a - 1] != j:
+            pa = images[a - 1]
+            t = a % n + 1
+            if q == a or ((q - t) % n < (pa - t) % n < (j - t) % n):
+                mu[a - 1] = q
+                q = pa
+            a = t
+        return DecoratedPermutation.of(tuple(mu), positroids.minors._rebuild_colors(p, mu))
+
+    return contract
+
+
 def new_fixed_points_coloured_coloops(real):
     def rebuild_colors(p, mu):
         old = dict(p.colors)
@@ -133,6 +157,14 @@ GATE = [
         "perm=1-,3,4,2 j=2 kind=contraction: oracle, necklace-agreement, color-flip, square-pattern, structure",
         id="contract-stops-one-square-early",
     ),
+    # restrict walks through contract too, so both kinds raise
+    pytest.param(
+        "contract", contract_leaving_j_on_its_preimage,
+        {"raised": 264},
+        "perm=1-,2-,4,3 j=3 kind=contraction: raised ValidationError: image 3 repeats at position 4; "
+        "not a permutation",
+        id="contract-leaves-j-on-its-preimage",
+    ),
     pytest.param(
         "_rebuild_colors", new_fixed_points_coloured_coloops,
         {"oracle": 224, "necklace-agreement": 224, "color-flip": 92, "structure": 224},
@@ -198,7 +230,7 @@ GATE = [
 
 TAGS = {
     "round-trip", "min-recovery", "oracle", "necklace-formula", "necklace-agreement", "color-flip",
-    "convention", "commutation", "square-pattern", "closure", "structure",
+    "convention", "commutation", "square-pattern", "closure", "structure", "raised",
 }
 
 

@@ -7,6 +7,7 @@ from positroids import (
     DecoratedPermutation,
     MinorKind,
     PreconditionError,
+    ValidationError,
     apply_minor,
     bases_of,
     classify_square,
@@ -167,6 +168,15 @@ class TestPermMinors:
         out = apply_minor(p, 2, MinorKind.CONTRACTION)
         assert not out.degenerate
 
+    def test_apply_minor_rejects_a_kind_that_is_not_a_minor_kind(self, perm):
+        for kind in ("contraction", None):
+            with pytest.raises(ValidationError, match="kind must be a MinorKind"):
+                apply_minor(perm, CONTRACT_J, kind)
+
+    def test_is_degenerate_rejects_a_kind_that_is_not_a_minor_kind(self):
+        with pytest.raises(ValidationError, match="kind must be a MinorKind"):
+            is_degenerate(parse_perm("1+,2+"), 1, "contraction")
+
     def test_minor_turns_j_into_loop(self, perm):
         for j in range(1, 9):
             for op in (contract, restrict):
@@ -193,6 +203,10 @@ class TestClassification:
         p = DecoratedPermutation.of((1, 3, 2), {1: 1})
         with pytest.raises(PreconditionError):
             classify_square(p, necklace_of(p), 1, 2)
+
+    def test_kind_that_is_not_a_minor_kind_rejected(self, perm, necklace):
+        with pytest.raises(ValidationError, match="kind must be a MinorKind"):
+            classify_square(perm, necklace, CONTRACT_J, 4, "contraction")
 
 
 class TestTraces:
@@ -251,6 +265,10 @@ class TestTraces:
         p = DecoratedPermutation.of((1, 3, 2), {1: -1})
         with pytest.raises(PreconditionError):
             trace_minor(p, 1, MinorKind.CONTRACTION)
+
+    def test_kind_that_is_not_a_minor_kind_rejected(self, perm):
+        with pytest.raises(ValidationError, match="kind must be a MinorKind"):
+            trace_minor(perm, CONTRACT_J, "contraction")
 
 
 def test_composed_minors_commute_with_oracle():

@@ -2,7 +2,9 @@
 
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from positroids import (
     PreconditionError,
@@ -87,6 +89,33 @@ def test_gale_leq_matches_naive_exhaustively():
                         expected = naive_leq(a, b, t, n)
                         got = gale_leq(Subset.of(n, a), Subset.of(n, b), t)
                         assert got == expected, (n, k, t, a, b)
+
+
+@st.composite
+def comparable_pairs(draw, max_n=64):
+    """Two k-subsets of one ground set and a start, with n on both sides of 16.
+
+    The second is random, or the first with one member exchanged, so that
+    comparable pairs turn up at large n too.
+    """
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n))
+    order = draw(st.permutations(range(1, n + 1)))
+    a = order[:k]
+    if 0 < k < n and draw(st.booleans()):
+        out, into = draw(st.sampled_from(a)), draw(st.sampled_from(order[k:]))
+        b = [into if x == out else x for x in a]
+    else:
+        b = draw(st.permutations(range(1, n + 1)))[:k]
+    return n, a, b, draw(st.integers(1, n))
+
+
+@given(comparable_pairs())
+@settings(max_examples=300, deadline=None)
+def test_gale_leq_matches_naive_up_to_64(case):
+    n, a, b, t = case
+    assert gale_leq(Subset.of(n, a), Subset.of(n, b), t) == naive_leq(a, b, t, n)
+    assert gale_leq(Subset.of(n, b), Subset.of(n, a), t) == naive_leq(b, a, t, n)
 
 
 def test_gale_leq_partial_order_axioms():
