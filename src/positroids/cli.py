@@ -7,7 +7,6 @@ import json
 import sys
 
 from .core import (
-    DecoratedPermutation,
     PositroidError,
     ValidationError,
     bases_of,
@@ -43,11 +42,6 @@ def _read_arg(value: str) -> str:
     return value
 
 
-def parse_decorated_perm(text: str) -> DecoratedPermutation:
-    """Parse a --perm argument, following '-' to stdin."""
-    return parse_perm(_read_arg(text))
-
-
 def _emit(args, obj, text: str) -> None:
     if args.format == "json":
         print(json.dumps(obj, indent=2))
@@ -56,7 +50,7 @@ def _emit(args, obj, text: str) -> None:
 
 
 def _cmd_necklace(args) -> int:
-    necklace = necklace_of(parse_decorated_perm(args.perm))
+    necklace = necklace_of(parse_perm(_read_arg(args.perm)))
     _emit(args, necklace_to_obj(necklace), format_necklace(necklace))
     return 0
 
@@ -69,7 +63,7 @@ def _cmd_perm(args) -> int:
 
 def _cmd_bases(args) -> int:
     if args.perm is not None:
-        necklace = necklace_of(parse_decorated_perm(args.perm))
+        necklace = necklace_of(parse_perm(_read_arg(args.perm)))
     else:
         necklace = parse_necklace(_read_arg(args.necklace))
     family = bases_of(necklace)
@@ -78,7 +72,7 @@ def _cmd_bases(args) -> int:
 
 
 def _cmd_minor(args, kind: MinorKind) -> int:
-    p = parse_decorated_perm(args.perm)
+    p = parse_perm(_read_arg(args.perm))
     what = "contracting" if kind is MinorKind.CONTRACTION else "deleting"
     steps = []
     traces = []

@@ -559,15 +559,23 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     necklace entries are the Gale minima of the family they cut out.  Each
     bound is a list of prefix-count tests (`_gale_bounds`); the tests of all
     n entries are pooled, less duplicates and those every k-subset passes.
+    The bounds keep every coloop (in all entries) and no loop (in no entry),
+    so the coloops join each candidate and the rest are chosen among the
+    elements in some entries but not all.
     """
     from itertools import combinations
 
     n, k = necklace.n, necklace.k
+    coloops, somewhere = (1 << n) - 1, 0
+    for e in necklace.entries:
+        coloops &= e.mask
+        somewhere |= e.mask
+    free = somewhere & ~coloops
     bounds = {pair for t, e in enumerate(necklace.entries, start=1) for pair in _gale_bounds(e.mask, t, n)}
     tests = [(prefix, count) for prefix, count in bounds if prefix.bit_count() > count]
     found = []
-    for combo in combinations([1 << p for p in range(n)], k):
-        mask = sum(combo)
+    for combo in combinations([1 << p for p in range(n) if free >> p & 1], k - coloops.bit_count()):
+        mask = coloops + sum(combo)
         for prefix, count in tests:
             if (mask & prefix).bit_count() > count:
                 break
@@ -705,7 +713,8 @@ def parse_perm(text: str) -> DecoratedPermutation:
         elif sign is not None:
             raise ValidationError(f"token {pos}: sign on {v}, which is not a fixed point here")
         images.append(v)
-    return DecoratedPermutation.of(tuple(images), colors)
+    # the loop has checked range, repeats and signs, so the value is valid as built
+    return _perm(tuple(images), tuple(colors.items()))
 
 
 def format_subset(s: Subset) -> str:

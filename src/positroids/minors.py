@@ -1,9 +1,10 @@
 """Single-element contraction and restriction of positroids.
 
 Both minors act directly on the decorated permutation and on the Grassmann
-necklace, the latter through an entrywise swap formula.  The two routes
-agree: the necklace of the permutation-level minor equals the necklace-level
-minor.
+necklace, the latter through an entrywise swap formula: the minor entry K_a
+is I_a with j and one element s_a, the swap at a, exchanged (K_a = I_a where
+s_a is j).  The two routes agree: the necklace of the permutation-level
+minor equals the necklace-level minor.
 
 Contraction walks clockwise from j+1 carrying a displaced image.  Newly
 created fixed points are loops (+1): contraction removes j from the ground
@@ -34,13 +35,10 @@ from .core import (
     _shifted_max,
     _shifted_min,
     _subset,
-    cyclic_lt,
     dual,
     format_perm,
-    in_cyclic_interval,
     necklace_of,
     perm_to_obj,
-    succ,
 )
 
 
@@ -84,6 +82,27 @@ def _require_noncoloop(necklace: GrassmannNecklace, j: int) -> None:
         raise PreconditionError(f"{j} is a coloop; the restricted necklace is undefined")
 
 
+def _minor(necklace: GrassmannNecklace, j: int, contracting: bool) -> tuple[list[int], GrassmannNecklace]:
+    """The swaps s_1..s_n of the minor at j and its entries K_a, unchecked.
+
+    K_a is I_a with j and s_a exchanged, and equals I_a where s_a is j.
+    Contracting, s_a is the largest element of I_a minus I_j in the shifted
+    order from a, or j when j already sits in I_a; restricting, it is the
+    smallest element of I_{j+1} minus I_a, or j when j is absent from I_a.
+    """
+    n = necklace.n
+    entries = necklace.entries
+    bit = 1 << (j - 1)
+    if contracting:
+        pool = entries[j - 1].mask
+        swaps = [j if e.mask & bit else _shifted_max(e.mask & ~pool, a) for a, e in enumerate(entries, 1)]
+    else:
+        pool = entries[j % n].mask
+        swaps = [_shifted_min(pool & ~e.mask, a) if e.mask & bit else j for a, e in enumerate(entries, 1)]
+    minor = [e if s == j else _subset(n, e.mask ^ bit ^ 1 << (s - 1)) for e, s in zip(entries, swaps)]
+    return swaps, _necklace(tuple(minor))
+
+
 def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     """Element of I_a that j replaces in the contracted entry K_a.
 
@@ -94,10 +113,7 @@ def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     _check_element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_nonloop(necklace, j)
-    entry = necklace.entries[a - 1].mask
-    if entry >> (j - 1) & 1:
-        return j
-    return _shifted_max(entry & ~necklace.entries[j - 1].mask, a)
+    return _minor(necklace, j, True)[0][a - 1]
 
 
 def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
@@ -110,10 +126,7 @@ def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     _check_element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_noncoloop(necklace, j)
-    entry = necklace.entries[a - 1].mask
-    if not entry >> (j - 1) & 1:
-        return j
-    return _shifted_min(necklace.entries[j % necklace.n].mask & ~entry, a)
+    return _minor(necklace, j, False)[0][a - 1]
 
 
 def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -123,20 +136,9 @@ def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     dropping j from each entry gives the necklace of the contracted matroid
     on the remaining elements.  Requires j not a loop.
     """
-    n = necklace.n
-    _check_element(j, n)
+    _check_element(j, necklace.n)
     _require_nonloop(necklace, j)
-    bit = 1 << (j - 1)
-    pool = necklace.entries[j - 1].mask
-    entries = []
-    for a, entry in enumerate(necklace.entries, start=1):
-        mask = entry.mask
-        if mask & bit:
-            entries.append(entry)
-        else:
-            out = _shifted_max(mask & ~pool, a)
-            entries.append(_subset(n, mask ^ 1 << (out - 1) | bit))
-    return _necklace(tuple(entries))
+    return _minor(necklace, j, True)[1]
 
 
 def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -145,20 +147,9 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     The result lives on the same ground set with j in no entry; it is the
     necklace of the matroid with j deleted.  Requires j not a coloop.
     """
-    n = necklace.n
-    _check_element(j, n)
+    _check_element(j, necklace.n)
     _require_noncoloop(necklace, j)
-    bit = 1 << (j - 1)
-    pool = necklace.entries[j % n].mask
-    entries = []
-    for a, entry in enumerate(necklace.entries, start=1):
-        mask = entry.mask
-        if not mask & bit:
-            entries.append(entry)
-        else:
-            inc = _shifted_min(pool & ~mask, a)
-            entries.append(_subset(n, mask ^ bit | 1 << (inc - 1)))
-    return _necklace(tuple(entries))
+    return _minor(necklace, j, False)[1]
 
 
 def _check_kind(kind: MinorKind) -> None:
@@ -248,6 +239,34 @@ def apply_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorResult
     return MinorResult(op(p, j), is_degenerate(p, j, kind))
 
 
+def _case(images: tuple[int, ...], swaps: list[int], j: int, inv_j: int, a: int, contracting: bool) -> CaseLabel:
+    """Label of the square at a, unchecked: j is not fixed, inv_j is its preimage.
+
+    (x - t) % n is the place of x in the shifted order starting at t.
+    """
+    n = len(images)
+    if a == j:
+        return CaseLabel.CASE1 if contracting else CaseLabel.R_START
+    if a == inv_j:
+        return CaseLabel.CASE3 if contracting else CaseLabel.R_END
+    if contracting:
+        if (a - inv_j) % n < (j - inv_j) % n:
+            return CaseLabel.CASE2
+        t = a % n + 1
+        if (j - t) % n < (swaps[a - 1] - t) % n:
+            return CaseLabel.CASE4A
+        if (j - t) % n < (images[a - 1] - t) % n:
+            return CaseLabel.CASE4B
+        return CaseLabel.CASE4C
+    if (a - j) % n < (inv_j - j) % n:
+        return CaseLabel.R_PASS
+    if swaps[a % n] == a:
+        return CaseLabel.R_A
+    if (images[a - 1] - a) % n < (j - a) % n:
+        return CaseLabel.R_B
+    return CaseLabel.R_C
+
+
 def classify_square(
     p: DecoratedPermutation,
     necklace: GrassmannNecklace,
@@ -261,36 +280,15 @@ def classify_square(
     recompute it.  Requires j not fixed (fixed j has no walk to classify).
     """
     _check_kind(kind)
-    n = p.n
-    _check_element(j, n)
-    _check_element(a, n)
-    if p.image(j) == j:
+    _check_element(j, p.n)
+    _check_element(a, p.n)
+    if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to classify")
-    inv_j = p.images.index(j) + 1
-    if kind is MinorKind.CONTRACTION:
-        if a == j:
-            return CaseLabel.CASE1
-        if a == inv_j:
-            return CaseLabel.CASE3
-        if in_cyclic_interval(a, inv_j, j, n):
-            return CaseLabel.CASE2
-        t = succ(a, n)
-        if cyclic_lt(j, contraction_swap(necklace, j, a), t, n):
-            return CaseLabel.CASE4A
-        if cyclic_lt(j, p.image(a), t, n):
-            return CaseLabel.CASE4B
-        return CaseLabel.CASE4C
-    if a == j:
-        return CaseLabel.R_START
-    if a == inv_j:
-        return CaseLabel.R_END
-    if in_cyclic_interval(a, j, inv_j, n):
-        return CaseLabel.R_PASS
-    if restriction_swap(necklace, j, succ(a, n)) == a:
-        return CaseLabel.R_A
-    if cyclic_lt(p.image(a), j, a, n):
-        return CaseLabel.R_B
-    return CaseLabel.R_C
+    if necklace.n != p.n:
+        raise ValidationError(f"the necklace has {necklace.n} entries, expected {p.n}")
+    contracting = kind is MinorKind.CONTRACTION
+    swaps = _minor(necklace, j, contracting)[0]
+    return _case(p.images, swaps, j, p.images.index(j) + 1, a, contracting)
 
 
 @dataclass(frozen=True)
@@ -325,26 +323,23 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     """
     _check_kind(kind)
     _check_element(j, p.n)
-    if p.image(j) == j:
+    if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to trace")
+    contracting = kind is MinorKind.CONTRACTION
     necklace = necklace_of(p)
-    if kind is MinorKind.CONTRACTION:
-        minor_necklace = contract_necklace(necklace, j)
-        result = contract(p, j)
-        swap = contraction_swap
-    else:
-        minor_necklace = restrict_necklace(necklace, j)
-        result = restrict(p, j)
-        swap = restriction_swap
+    swaps, minor_necklace = _minor(necklace, j, contracting)
+    result = (contract if contracting else restrict)(p, j)
+    images = p.images
+    inv_j = images.index(j) + 1
     rows = tuple(
         SquareRow(
             a,
-            necklace.entry(a),
-            minor_necklace.entry(a),
-            p.image(a),
-            result.image(a),
-            swap(necklace, j, a),
-            classify_square(p, necklace, j, a, kind),
+            necklace.entries[a - 1],
+            minor_necklace.entries[a - 1],
+            images[a - 1],
+            result.images[a - 1],
+            swaps[a - 1],
+            _case(images, swaps, j, inv_j, a, contracting),
         )
         for a in range(1, p.n + 1)
     )

@@ -42,11 +42,9 @@ from .minors import (
     MinorKind,
     contract,
     contract_necklace,
-    contraction_swap,
     is_degenerate,
     restrict,
     restrict_necklace,
-    restriction_swap,
 )
 
 ENUMERATION_CAP = 10
@@ -173,7 +171,9 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
     Each square must satisfy the step rule, and exactly one of its two
     commuting patterns: the carried swap descends (top image equals the next
     swap, bottom image equals this one, sides flipped for restriction), or
-    the square is inert (images equal, swaps equal).
+    the square is inert (images equal, swaps equal).  The swap at a is read
+    off I_a and K_a: the element other than j that they do not share, or j
+    itself where they are equal.
     """
     failures = []
     images, result_images = p.images, result.images
@@ -189,8 +189,8 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
             failures.append("commutation")
             break
     contracting = kind is MinorKind.CONTRACTION
-    swap = contraction_swap if contracting else restriction_swap
-    swaps = [swap(necklace, j, a) for a in range(1, n + 1)]
+    not_j = ~(1 << (j - 1))
+    swaps = [((e.mask ^ m.mask) & not_j).bit_length() or j for e, m in zip(necklace.entries, entries)]
     for a in range(1, n + 1):
         here = swaps[a - 1]
         there = swaps[a % n]  # the swap at a + 1
@@ -357,12 +357,17 @@ def _sweep(n, kind_values, stride, offset):
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
             continue
-        necklace = necklace_of(p)
-        if perm_of(necklace) != p:
-            record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
-        family = bases(necklace)
-        if _gale_minima(family, planes) != tuple(e.mask for e in necklace.entries):
-            record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
+        try:
+            necklace = necklace_of(p)
+            if perm_of(necklace) != p:
+                record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
+            family = bases(necklace)
+            if _gale_minima(family, planes) != tuple(e.mask for e in necklace.entries):
+                record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
+        except PositroidError as err:
+            # with no necklace or family there is nothing to check the minors against
+            record((idx, 0, ""), f"n={n} perm={format_perm(p)}: raised {type(err).__name__}: {err}", ["raised"])
+            continue
         for j in range(1, n + 1):
             for kind in kinds:
                 try:
@@ -391,10 +396,6 @@ def _sweep(n, kind_values, stride, offset):
     }
 
 
-def _sweep_star(args):
-    return _sweep(*args)
-
-
 def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     """Exhaustively compare both minor routes against the oracle for size n.
 
@@ -403,7 +404,8 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     arithmetic, plus round trips, square commutation, positroid closure, and
     the degenerate conventions.  A `PositroidError` raised while checking an
     instance fails that instance under the tag `raised`, and the sweep goes
-    on.  jobs > 1 splits the sweep across processes; results are merged
+    on; one raised by a permutation's own checks (necklace, round trip,
+    family) fails that permutation the same way and skips its instances.  jobs > 1 splits the sweep across processes; results are merged
     deterministically.
     """
     kinds = frozenset(kinds)
@@ -417,11 +419,12 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
         parts = [_sweep(n, kind_values, 1, 0)]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
 
         # jobs stays the stride, so the partition and the merged report do
         # not depend on how many workers actually run it
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_sweep_star, [(n, kind_values, jobs, off) for off in range(jobs)]))
+            parts = list(pool.map(partial(_sweep, n, kind_values, jobs), range(jobs)))
     elapsed = time.perf_counter() - start
     check_failures: dict[str, int] = {}
     for part in parts:

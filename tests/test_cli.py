@@ -50,6 +50,13 @@ def test_bases_sources_agree(capsys):
     assert by_perm.split(";")[0] == "1,2,3,6"
 
 
+def test_bases_of_one_basis_perm_at_n_40(capsys):
+    # 20 coloops and 20 loops: the one basis is the coloops
+    perm = ",".join([f"{i}-" for i in range(1, 21)] + [f"{i}+" for i in range(21, 41)])
+    assert run(["bases", "--perm", perm]) == 0
+    assert out_of(capsys) == ",".join(map(str, range(1, 21)))
+
+
 def test_contract_golden(capsys):
     assert run(["contract", "--perm", "6,1,4,8,2,7,3,5", "-j", "3"]) == 0
     assert out_of(capsys) == "6,1,3+,4+,8,7,2,5"

@@ -344,6 +344,20 @@ class TestBases:
     def test_random_against_naive_filter(self, p):
         assert_bases_match_naive_filter(necklace_of(p))
 
+    def test_one_basis_at_n_40(self):
+        # 20 coloops and 20 loops: one basis, not a search through C(40, 20) subsets
+        p = parse_perm(",".join([f"{i}-" for i in range(1, 21)] + [f"{i}+" for i in range(21, 41)]))
+        assert [h.members for h in bases_of(necklace_of(p)).bases] == [tuple(range(1, 21))]
+
+    def test_coloops_and_loops_around_a_cycle_at_n_40(self):
+        # coloops 1..18 join every basis and loops 23..40 none; 19..22 carry
+        # the rank-2 positroid of the cycle 21,22,19,20 (the 2-subsets of a 4-set)
+        text = ",".join([f"{i}-" for i in range(1, 19)] + ["21", "22", "19", "20"] + [f"{i}+" for i in range(23, 41)])
+        family = bases_of(necklace_of(parse_perm(text)))
+        assert family.k == 20
+        assert {h.members[18:] for h in family.bases} == set(combinations(range(19, 23), 2))
+        assert all(h.members[:18] == tuple(range(1, 19)) for h in family.bases)
+
     def test_family_type(self):
         family = BasisFamily.of(3, [[1, 2], [1, 3]])
         assert family.k == 2 and len(family) == 2

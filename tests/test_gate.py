@@ -13,7 +13,7 @@ import positroids.core
 import positroids.minors
 import positroids.oracle
 from positroids import DecoratedPermutation, dual, verify_all
-from positroids.core import _family, _necklace
+from positroids.core import ValidationError, _family, _necklace, _subset
 
 
 def contract_stopping_early(real):
@@ -82,11 +82,23 @@ def restrict_without_recolouring(real):
     return restrict
 
 
-def swap_read_one_late(real):
-    def swap(necklace, j, a):
-        return real(necklace, j, a % necklace.n + 1)
+def swap_read_one_late(kind_contracting):
+    # entry a takes the swap of entry a + 1, for one kind of minor
+    def fault(real):
+        def minor(necklace, j, contracting):
+            swaps, minor_necklace = real(necklace, j, contracting)
+            if contracting != kind_contracting:
+                return swaps, minor_necklace
+            n, bit = necklace.n, 1 << (j - 1)
+            late = swaps[1:] + swaps[:1]
+            entries = necklace.entries
+            return late, _necklace(
+                tuple(e if s == j else _subset(n, e.mask ^ bit ^ 1 << (s - 1)) for e, s in zip(entries, late))
+            )
 
-    return swap
+        return minor
+
+    return fault
 
 
 def contract_necklace_skipping_entry_1(real):
@@ -114,6 +126,16 @@ def perm_of_flipping_a_coloop(real):
         p = real(necklace)
         coloops = [i for i, color in p.colors if color == -1]
         return p.with_color(coloops[0], 1) if coloops else p
+
+    return perm_of
+
+
+def perm_of_rejecting_all_fixed_points(real):
+    # a necklace whose entries are all equal comes from a perm that fixes everything
+    def perm_of(necklace):
+        if len(set(necklace.entries)) == 1:
+            raise ValidationError("planted: every entry is the same")
+        return real(necklace)
 
     return perm_of
 
@@ -178,27 +200,31 @@ GATE = [
         id="restrict-skips-with-color",
     ),
     pytest.param(
-        "contraction_swap", swap_read_one_late,
-        {"square-pattern": 132},
-        "perm=1-,2-,4,3 j=3 kind=contraction: square-pattern",
+        "_minor", swap_read_one_late(True),
+        {"necklace-formula": 132, "necklace-agreement": 132, "color-flip": 132, "commutation": 132,
+         "square-pattern": 132},
+        "perm=1-,2-,4,3 j=3 kind=contraction: necklace-formula, necklace-agreement, color-flip, commutation, "
+        "square-pattern",
         id="contraction-swap-one-late",
     ),
     pytest.param(
-        "restriction_swap", swap_read_one_late,
-        {"square-pattern": 132},
-        "perm=1-,2-,4,3 j=3 kind=restriction: square-pattern",
+        "_minor", swap_read_one_late(False),
+        {"necklace-formula": 132, "necklace-agreement": 132, "commutation": 132, "square-pattern": 132},
+        "perm=1-,2-,4,3 j=3 kind=restriction: necklace-formula, necklace-agreement, commutation, square-pattern",
         id="restriction-swap-one-late",
     ),
     pytest.param(
         "contract_necklace", contract_necklace_skipping_entry_1,
-        {"necklace-formula": 66, "necklace-agreement": 66, "color-flip": 66, "commutation": 66},
-        "perm=1-,2-,4,3 j=4 kind=contraction: necklace-formula, necklace-agreement, color-flip, commutation",
+        {"necklace-formula": 66, "necklace-agreement": 66, "color-flip": 66, "commutation": 66,
+         "square-pattern": 66},
+        "perm=1-,2-,4,3 j=4 kind=contraction: necklace-formula, necklace-agreement, color-flip, commutation, "
+        "square-pattern",
         id="contract-necklace-skips-entry-1",
     ),
     pytest.param(
         "restrict_necklace", restrict_necklace_leaving_j_once,
-        {"necklace-formula": 132, "necklace-agreement": 132, "commutation": 132},
-        "perm=1-,2-,4,3 j=3 kind=restriction: necklace-formula, necklace-agreement, commutation",
+        {"necklace-formula": 132, "necklace-agreement": 132, "commutation": 132, "square-pattern": 132},
+        "perm=1-,2-,4,3 j=3 kind=restriction: necklace-formula, necklace-agreement, commutation, square-pattern",
         id="restrict-necklace-leaves-j-once",
     ),
     pytest.param(
@@ -206,6 +232,12 @@ GATE = [
         {"round-trip": 41},
         "perm=1-,2-,3-,4-: round-trip",
         id="perm-of-flips-a-coloop",
+    ),
+    pytest.param(
+        "perm_of", perm_of_rejecting_all_fixed_points,
+        {"raised": 16},
+        "perm=1-,2-,3-,4-: raised ValidationError: planted: every entry is the same",
+        id="perm-of-raises",
     ),
     pytest.param(
         "bases_of", bases_of_dropping_one,

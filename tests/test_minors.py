@@ -208,6 +208,11 @@ class TestClassification:
         with pytest.raises(ValidationError, match="kind must be a MinorKind"):
             classify_square(perm, necklace, CONTRACT_J, 4, "contraction")
 
+    def test_necklace_of_another_size_rejected(self, perm):
+        small = necklace_of(DecoratedPermutation.of((2, 3, 1)))
+        with pytest.raises(ValidationError, match="the necklace has 3 entries, expected 8"):
+            classify_square(perm, small, CONTRACT_J, 1)
+
 
 class TestTraces:
     def test_contraction_trace_rows(self, perm):

@@ -17,11 +17,14 @@ from positroids import (
     bases_of,
     contract,
     contract_necklace,
+    classify_square,
     contraction_swap,
+    cyclic_lt,
     dual,
     format_necklace,
     gale_extremum,
     gale_leq,
+    in_cyclic_interval,
     is_degenerate,
     is_positroid,
     loop_coloop_status,
@@ -34,6 +37,8 @@ from positroids import (
     restrict,
     restrict_necklace,
     restriction_swap,
+    succ,
+    trace_minor,
 )
 from positroids.core import _necklace, _subset
 
@@ -99,6 +104,36 @@ def reference_restriction_swap(necklace, j, a):
     return shifted_extremum((necklace.entry(j + 1) - entry).members, a, necklace.n, "min")
 
 
+def reference_case(p, necklace, j, a, kind):
+    """Label of the square at a, written on cyclic_lt and in_cyclic_interval."""
+    n = p.n
+    inv_j = p.images.index(j) + 1
+    t = succ(a, n)
+    if kind is MinorKind.CONTRACTION:
+        if a == j:
+            return "Case1"
+        if a == inv_j:
+            return "Case3"
+        if in_cyclic_interval(a, inv_j, j, n):
+            return "Case2"
+        if cyclic_lt(j, reference_contraction_swap(necklace, j, a), t, n):
+            return "Case4a"
+        if cyclic_lt(j, p.image(a), t, n):
+            return "Case4b"
+        return "Case4c"
+    if a == j:
+        return "R-start"
+    if a == inv_j:
+        return "R-end"
+    if in_cyclic_interval(a, j, inv_j, n):
+        return "R-pass"
+    if reference_restriction_swap(necklace, j, t) == a:
+        return "R-a"
+    if cyclic_lt(p.image(a), j, a, n):
+        return "R-b"
+    return "R-c"
+
+
 def necklace_minor(necklace, j, kind):
     """The necklace route of a minor, with j stripped from contraction's entries."""
     if kind is MinorKind.RESTRICTION:
@@ -154,6 +189,30 @@ def test_swaps_match_subset_differences(p, data):
                 restriction_swap(necklace, j, a)
         else:
             assert restriction_swap(necklace, j, a) == reference_restriction_swap(necklace, j, a)
+
+
+@given(decorated_perms(max_n=64, min_n=2))
+@settings(max_examples=25, deadline=None)
+def test_trace_rows_match_every_route(p):
+    # every non-fixed j, both kinds: the one-pass trace against the routes one call each
+    necklace = necklace_of(p)
+    for j in (j for j in range(1, p.n + 1) if p.images[j - 1] != j):
+        for kind in MinorKind:
+            contracting = kind is MinorKind.CONTRACTION
+            trace = trace_minor(p, j, kind)
+            result = (contract if contracting else restrict)(p, j)
+            minor = (contract_necklace if contracting else restrict_necklace)(necklace, j)
+            swap = contraction_swap if contracting else restriction_swap
+            reference_swap = reference_contraction_swap if contracting else reference_restriction_swap
+            assert trace.result == result
+            assert tuple(r.entry for r in trace.rows) == necklace.entries
+            assert tuple(r.minor_entry for r in trace.rows) == minor.entries
+            assert tuple(r.image for r in trace.rows) == p.images
+            assert tuple(r.minor_image for r in trace.rows) == result.images
+            for r in trace.rows:
+                assert r.swap == swap(necklace, j, r.a) == reference_swap(necklace, j, r.a)
+                label = reference_case(p, necklace, j, r.a, kind)
+                assert r.case.value == label == classify_square(p, necklace, j, r.a, kind).value
 
 
 @given(decorated_perms(max_n=64, min_n=2), st.data())
