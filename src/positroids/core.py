@@ -24,6 +24,17 @@ and the checks themselves read masks and image tuples directly.  One
 exception: `oracle.oracle_necklace` returns the Gale minima of any family
 unchecked, and for a family that is not a matroid they need not form a
 Grassmann necklace.
+
+Subsets cross the text boundary by constant tables built at import.  Out,
+a mask is read one hexadecimal digit (4 elements) at a time: row r of
+`_CHUNK_MEMBERS` and `_CHUNK_TEXT` maps digit r of the mask, counted from the
+lowest, to the elements it holds, as a tuple and as comma-terminated text.
+In, `_TOKEN_BIT` maps each canonical element token "1" ... "64" to its bit,
+and the parsers add the bits of a subset's tokens.  A token not in the table
+("03", "+3", "1_0", "x", "", "65", ...), a repeated element, or an element
+that does not fit in n sends that subset down the `int()` path: it reads
+every token with `int()` and checks the elements with `Subset.of`, so it
+accepts what `int()` accepts and reports the first bad entry.
 """
 
 from __future__ import annotations
@@ -31,8 +42,21 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import getitem
 
 MAX_GROUND_SET = 64
+
+# Row r maps a hexadecimal digit d to the members 4r + 1 ... 4r + 4 that d
+# holds: 16 rows of 16 entries each (about 44 KiB with `_CHUNK_TEXT`).
+_CHUNK_MEMBERS = tuple(
+    {f"{d:x}": tuple(4 * r + i for i in range(1, 5) if d >> (i - 1) & 1) for d in range(16)}
+    for r in range(MAX_GROUND_SET // 4)
+)
+# The same members as text, each followed by a comma: joining a mask's rows
+# and dropping the last character gives its comma-joined members.
+_CHUNK_TEXT = tuple({d: "".join(f"{e}," for e in members) for d, members in row.items()} for row in _CHUNK_MEMBERS)
+_TOKEN_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SET + 1)}
 
 
 class PositroidError(Exception):
@@ -126,8 +150,8 @@ class Subset:
 
     @property
     def members(self) -> tuple[int, ...]:
-        # bin() lists the bits from the top; reversed, character i is element i
-        return tuple(i for i, bit in enumerate(bin(self.mask)[:1:-1], start=1) if bit == "1")
+        # the mask's hex digits, lowest first, pick one table row each
+        return tuple(chain.from_iterable(map(getitem, _CHUNK_MEMBERS, f"{self.mask:x}"[::-1])))
 
     def __contains__(self, e: int) -> bool:
         return isinstance(e, int) and 1 <= e <= self.n and bool(self.mask >> (e - 1) & 1)
@@ -172,7 +196,7 @@ class Subset:
         return f"Subset.of({self.n}, {list(self.members)})"
 
     def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.members)) + "}"
+        return "{" + format_subset(self) + "}"
 
 
 def _subset(n: int, mask: int) -> Subset:
@@ -718,13 +742,39 @@ def parse_perm(text: str) -> DecoratedPermutation:
 
 
 def format_subset(s: Subset) -> str:
-    return ",".join(map(str, s.members))
+    return "".join(map(getitem, _CHUNK_TEXT, f"{s.mask:x}"[::-1]))[:-1]
+
+
+def _token_mask(s: str) -> int:
+    """Mask of a whitespace-free subset text read by `_TOKEN_BIT`, or -1.
+
+    -1 means a token is not in the table or an element repeats, and the
+    caller takes the `int()` path.  Distinct bits add without a carry, so a
+    repeat shows as fewer bits than tokens.
+    """
+    if not s:
+        return 0
+    tokens = s.split(",")
+    try:
+        mask = sum(map(_TOKEN_BIT.__getitem__, tokens))
+    except KeyError:
+        return -1
+    return mask if mask.bit_count() == len(tokens) else -1
 
 
 def parse_subset(text: str, n: int) -> Subset:
-    s = "".join(text.split())
+    return _read_subset(text, "".join(text.split()), n)
+
+
+def _read_subset(text: str, s: str, n: int) -> Subset:
+    """Subset named by s, which is text without its whitespace."""
     if not s:
         return Subset.empty(n)
+    mask = _token_mask(s)
+    if mask >= 0:
+        _check_n(n)  # after the tokens: a non-integer entry is reported first
+        if not mask >> n:
+            return _subset(n, mask)
     try:
         elements = [int(tok) for tok in s.split(",")]
     except ValueError:
@@ -733,7 +783,7 @@ def parse_subset(text: str, n: int) -> Subset:
 
 
 def format_necklace(necklace: GrassmannNecklace) -> str:
-    return ";".join(format_subset(e) for e in necklace.entries)
+    return ";".join(map(format_subset, necklace.entries))
 
 
 def parse_necklace(text: str) -> GrassmannNecklace:
@@ -745,35 +795,49 @@ def parse_necklace(text: str) -> GrassmannNecklace:
         raise ValidationError(f"{n} entries exceed the ground set cap of {MAX_GROUND_SET}")
     entries = []
     for idx, part in enumerate(parts, start=1):
-        try:
-            entries.append(parse_subset(part, n))
-        except ValidationError as e:
-            raise ValidationError(f"entry {idx}: {e}") from None
+        mask = _token_mask(part)
+        if mask >> n:  # -1 as well: the int() path accepts or reports the entry
+            try:
+                entries.append(_read_subset(part, part, n))
+            except ValidationError as e:
+                raise ValidationError(f"entry {idx}: {e}") from None
+        else:
+            entries.append(_subset(n, mask))
     return validate_necklace(entries)
 
 
 def format_bases(family: BasisFamily) -> str:
-    return ";".join(format_subset(s) for s in family.sorted_bases())
+    return ";".join(map(format_subset, family.sorted_bases()))
+
+
+def _infer_n(s: str) -> int:
+    """Ground set size named by a whitespace-free basis list: its largest element."""
+    tokens = s.replace(";", ",").split(",")
+    distinct = set(tokens) - {""}
+    if distinct and distinct <= _TOKEN_BIT.keys():
+        return max(map(_TOKEN_BIT.__getitem__, distinct)).bit_length()
+    elements = []
+    for tok in tokens:
+        if tok:
+            try:
+                elements.append(int(tok))
+            except ValueError:
+                raise ValidationError(f"basis list has a non-integer entry {tok!r}") from None
+    if not elements:
+        raise ValidationError("cannot infer the ground set size; pass n explicitly")
+    biggest = max(elements)
+    if biggest < 1:
+        raise ValidationError(f"element {elements[0]} is out of range: elements start at 1")
+    return biggest
 
 
 def parse_bases(text: str, n: int | None = None) -> BasisFamily:
     s = "".join(text.split())
     if not s:
         raise ValidationError("empty basis family")
-    parts = s.split(";")
     if n is None:
-        biggest = 0
-        for part in parts:
-            for tok in part.split(","):
-                if tok:
-                    try:
-                        biggest = max(biggest, int(tok))
-                    except ValueError:
-                        raise ValidationError(f"basis list has a non-integer entry {tok!r}") from None
-        if biggest == 0:
-            raise ValidationError("cannot infer the ground set size; pass n explicitly")
-        n = biggest
-    return BasisFamily.of(n, [parse_subset(part, n) for part in parts])
+        n = _infer_n(s)
+    return BasisFamily.of(n, [_read_subset(part, part, n) for part in s.split(";")])
 
 
 def perm_to_obj(p: DecoratedPermutation) -> dict:

@@ -37,6 +37,7 @@ from .core import (
     _subset,
     dual,
     format_perm,
+    format_subset,
     necklace_of,
     perm_to_obj,
 )
@@ -82,24 +83,31 @@ def _require_noncoloop(necklace: GrassmannNecklace, j: int) -> None:
         raise PreconditionError(f"{j} is a coloop; the restricted necklace is undefined")
 
 
-def _minor(necklace: GrassmannNecklace, j: int, contracting: bool) -> tuple[list[int], GrassmannNecklace]:
-    """The swaps s_1..s_n of the minor at j and its entries K_a, unchecked.
+def _swaps(necklace: GrassmannNecklace, j: int, contracting: bool) -> list[int]:
+    """The swaps s_1..s_n of the minor at j, unchecked.
 
-    K_a is I_a with j and s_a exchanged, and equals I_a where s_a is j.
     Contracting, s_a is the largest element of I_a minus I_j in the shifted
     order from a, or j when j already sits in I_a; restricting, it is the
     smallest element of I_{j+1} minus I_a, or j when j is absent from I_a.
     """
-    n = necklace.n
     entries = necklace.entries
     bit = 1 << (j - 1)
     if contracting:
         pool = entries[j - 1].mask
-        swaps = [j if e.mask & bit else _shifted_max(e.mask & ~pool, a) for a, e in enumerate(entries, 1)]
-    else:
-        pool = entries[j % n].mask
-        swaps = [_shifted_min(pool & ~e.mask, a) if e.mask & bit else j for a, e in enumerate(entries, 1)]
-    minor = [e if s == j else _subset(n, e.mask ^ bit ^ 1 << (s - 1)) for e, s in zip(entries, swaps)]
+        return [j if e.mask & bit else _shifted_max(e.mask & ~pool, a) for a, e in enumerate(entries, 1)]
+    pool = entries[j % necklace.n].mask
+    return [_shifted_min(pool & ~e.mask, a) if e.mask & bit else j for a, e in enumerate(entries, 1)]
+
+
+def _minor(necklace: GrassmannNecklace, j: int, contracting: bool) -> tuple[list[int], GrassmannNecklace]:
+    """The swaps of the minor at j (`_swaps`) and its entries K_a, unchecked.
+
+    K_a is I_a with j and s_a exchanged, and equals I_a where s_a is j.
+    """
+    n = necklace.n
+    bit = 1 << (j - 1)
+    swaps = _swaps(necklace, j, contracting)
+    minor = [e if s == j else _subset(n, e.mask ^ bit ^ 1 << (s - 1)) for e, s in zip(necklace.entries, swaps)]
     return swaps, _necklace(tuple(minor))
 
 
@@ -113,7 +121,7 @@ def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     _check_element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_nonloop(necklace, j)
-    return _minor(necklace, j, True)[0][a - 1]
+    return _swaps(necklace, j, True)[a - 1]
 
 
 def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
@@ -126,7 +134,7 @@ def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     _check_element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_noncoloop(necklace, j)
-    return _minor(necklace, j, False)[0][a - 1]
+    return _swaps(necklace, j, False)[a - 1]
 
 
 def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -287,7 +295,7 @@ def classify_square(
     if necklace.n != p.n:
         raise ValidationError(f"the necklace has {necklace.n} entries, expected {p.n}")
     contracting = kind is MinorKind.CONTRACTION
-    swaps = _minor(necklace, j, contracting)[0]
+    swaps = _swaps(necklace, j, contracting)
     return _case(p.images, swaps, j, p.images.index(j) + 1, a, contracting)
 
 
@@ -347,9 +355,11 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
 
 
 def _cell(s: Subset) -> str:
-    if len(s) == 0:
+    if not s.mask:
         return "{}"
-    return ("" if s.n <= 9 else ",").join(map(str, s.members))
+    text = format_subset(s)
+    # below 10 every element is one digit, so the cell drops the commas
+    return text.replace(",", "") if s.n <= 9 else text
 
 
 def render_trace(trace: MinorTrace) -> str:

@@ -115,19 +115,20 @@ def check_matroid(family: BasisFamily) -> bool:
     for a in masks:
         for b in masks:
             need = a & ~b
+            if not need:
+                continue
+            b_minus_a = b & ~a
             while need:
                 xbit = need & -need
                 need ^= xbit
                 stripped = a ^ xbit
-                free = b & ~a
-                found = False
+                free = b_minus_a
                 while free:
                     ybit = free & -free
                     free ^= ybit
                     if stripped | ybit in masks:
-                        found = True
                         break
-                if not found:
+                else:
                     return False
     return True
 

@@ -154,6 +154,13 @@ def test_input_errors_exit_1(capsys):
     assert run(["verify", "--max-n", "99"]) == 1
 
 
+def test_bases_below_1_named(capsys):
+    assert run(["is-positroid", "--bases", "0"]) == 1
+    assert capsys.readouterr().err == "error: element 0 is out of range: elements start at 1\n"
+    assert run(["is-positroid", "--bases=-1;0"]) == 1
+    assert capsys.readouterr().err == "error: element -1 is out of range: elements start at 1\n"
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["necklace"]) == 1
     assert run(["no-such-command"]) == 1

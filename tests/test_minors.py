@@ -2,6 +2,7 @@
 
 import pytest
 
+import positroids.minors
 from positroids import (
     CaseLabel,
     DecoratedPermutation,
@@ -78,6 +79,18 @@ class TestSwaps:
         for a in range(1, 9):
             if RESTRICT_J not in necklace.entry(a):
                 assert restriction_swap(necklace, RESTRICT_J, a) == RESTRICT_J
+
+    def test_public_swaps_build_no_subset(self, perm, necklace, monkeypatch):
+        # one swap or label reads the swap list only, never the minor necklace
+        def no_subset(n, mask):
+            raise AssertionError("a swap call built a Subset")
+
+        monkeypatch.setattr(positroids.minors, "_subset", no_subset)
+        assert [contraction_swap(necklace, CONTRACT_J, a) for a in range(1, 9)] == CONTRACT_SWAPS
+        assert [restriction_swap(necklace, RESTRICT_J, a) for a in range(1, 9)] == RESTRICT_SWAPS
+        assert [classify_square(perm, necklace, CONTRACT_J, a).value for a in range(1, 9)] == CONTRACT_CASES
+        labels = [classify_square(perm, necklace, RESTRICT_J, a, MinorKind.RESTRICTION).value for a in range(1, 9)]
+        assert labels == RESTRICT_CASES
 
     def test_swap_preconditions(self):
         loop = necklace_of(DecoratedPermutation.of((1, 3, 2), {1: 1}))

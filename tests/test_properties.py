@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from positroids import (
+    BasisFamily,
     DecoratedPermutation,
     GrassmannNecklace,
     InvalidNecklaceError,
@@ -22,6 +23,7 @@ from positroids import (
     cyclic_lt,
     dual,
     format_necklace,
+    format_subset,
     gale_extremum,
     gale_leq,
     in_cyclic_interval,
@@ -32,7 +34,9 @@ from positroids import (
     necklace_violations,
     oracle_contract,
     oracle_delete,
+    parse_bases,
     parse_necklace,
+    parse_subset,
     perm_of,
     restrict,
     restrict_necklace,
@@ -41,6 +45,7 @@ from positroids import (
     trace_minor,
 )
 from positroids.core import _necklace, _subset
+from positroids.minors import _cell
 
 
 @st.composite
@@ -454,6 +459,7 @@ def test_members_match_the_bit_loop(case):
     assert list(Subset(n, mask)) == list(reference_members(n, mask))
     assert Subset.full(n).members == tuple(range(1, n + 1))
     assert Subset(n, 1 << (n - 1)).members == (n,)
+    check_text_forms(Subset(n, mask))
 
 
 @given(decorated_perms(max_n=64))
@@ -545,3 +551,126 @@ def test_dual_complement_law_by_gale_bounds(p, data):
         candidates.append(Subset.of(n, chosen))
     for h in candidates:
         assert passes_gale_bounds(necklace, h) == passes_gale_bounds(dual_necklace, complement(h))
+
+
+# The text boundary.  The parsers read canonical tokens by table and send
+# everything else down the int() path; these references are that path alone.
+
+FUZZ_TOKENS = ("1", "2", "9", "10", "64", "65", "0", "-1", "03", "+3", "1_0", "x", "1.0", "")
+
+
+def reference_parse_subset(text, n):
+    s = "".join(text.split())
+    if not s:
+        return Subset.empty(n)
+    try:
+        elements = [int(tok) for tok in s.split(",")]
+    except ValueError:
+        raise ValidationError(f"subset {text!r} has a non-integer entry") from None
+    return Subset.of(n, elements)
+
+
+def reference_parse_necklace(text):
+    parts = "".join(text.split()).split(";")
+    n = len(parts)
+    if n > 64:
+        raise ValidationError(f"{n} entries exceed the ground set cap of 64")
+    entries = []
+    for idx, part in enumerate(parts, start=1):
+        try:
+            entries.append(reference_parse_subset(part, n))
+        except ValidationError as e:
+            raise ValidationError(f"entry {idx}: {e}") from None
+    return GrassmannNecklace(tuple(entries))
+
+
+def reference_parse_bases(text, n=None):
+    s = "".join(text.split())
+    if not s:
+        raise ValidationError("empty basis family")
+    if n is None:
+        elements = []
+        for tok in s.replace(";", ",").split(","):
+            if tok:
+                try:
+                    elements.append(int(tok))
+                except ValueError:
+                    raise ValidationError(f"basis list has a non-integer entry {tok!r}") from None
+        if not elements:
+            raise ValidationError("cannot infer the ground set size; pass n explicitly")
+        if max(elements) < 1:
+            raise ValidationError(f"element {elements[0]} is out of range: elements start at 1")
+        n = max(elements)
+    return BasisFamily.of(n, [reference_parse_subset(part, n) for part in s.split(";")])
+
+
+@st.composite
+def fuzz_texts(draw, max_parts=4):
+    """Subsets of fuzz tokens joined by ';', with a few spaces put inside."""
+    parts = draw(st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4), min_size=1, max_size=max_parts))
+    text = ";".join(",".join(tokens) for tokens in parts)
+    for at in sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)), reverse=True):
+        text = text[:at] + " " + text[at:]
+    return text
+
+
+@given(fuzz_texts(max_parts=1), st.integers(1, 66))
+@settings(max_examples=500, deadline=None)
+def test_parse_subset_matches_the_int_path(text, n):
+    assert outcome(parse_subset, text, n) == outcome(reference_parse_subset, text, n)
+
+
+@given(fuzz_texts(max_parts=5), st.integers(1, 66))
+@settings(max_examples=500, deadline=None)
+def test_parse_necklace_and_bases_match_the_int_path(text, n):
+    assert outcome(parse_necklace, text) == outcome(reference_parse_necklace, text)
+    assert outcome(parse_bases, text) == outcome(reference_parse_bases, text)
+    assert outcome(parse_bases, text, n) == outcome(reference_parse_bases, text, n)
+
+
+@given(decorated_perms(max_n=64), st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_of_a_mutated_necklace_matches_the_int_path(p, data):
+    tokens = format_necklace(necklace_of(p)).replace(";", ",;,").split(",")
+    at = data.draw(st.integers(0, len(tokens) - 1))
+    if tokens[at] != ";":
+        tokens[at] = data.draw(st.sampled_from(FUZZ_TOKENS + (str(p.n), str(p.n + 1))))
+    text = ",".join(tokens).replace(",;,", ";")
+    assert outcome(parse_necklace, text) == outcome(reference_parse_necklace, text)
+    bases_text = text.replace(";", "; ", 3)
+    assert outcome(parse_bases, bases_text) == outcome(reference_parse_bases, bases_text)
+    assert outcome(parse_bases, bases_text, p.n) == outcome(reference_parse_bases, bases_text, p.n)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("x", 66), ("1", 66), ("65", 66), ("65", 64), ("1,1", 3), ("03", 3), ("+3", 3), ("1_0", 10), (";" * 64, 1),
+     ("0", 5), ("-1;0", 5), ("1,,2", 2), ("1.0", 2)],
+)
+def test_parse_errors_keep_their_order(text, n):
+    # e.g. a non-integer entry is reported before a ground set over the cap
+    assert outcome(parse_subset, text, n) == outcome(reference_parse_subset, text, n)
+    assert outcome(parse_necklace, text) == outcome(reference_parse_necklace, text)
+    assert outcome(parse_bases, text) == outcome(reference_parse_bases, text)
+    assert outcome(parse_bases, text, n) == outcome(reference_parse_bases, text, n)
+
+
+def check_text_forms(s):
+    members = reference_members(s.n, s.mask)
+    assert s.members == members
+    assert list(s) == list(members)
+    assert format_subset(s) == ",".join(map(str, members))
+    assert str(s) == "{" + ",".join(map(str, members)) + "}"
+    assert repr(s) == f"Subset.of({s.n}, {list(members)})"
+    assert _cell(s) == (("" if s.n <= 9 else ",").join(map(str, members)) if members else "{}")
+    assert parse_subset(format_subset(s), s.n) == s
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 10, 63, 64])
+def test_text_forms_at_chunk_edges(n):
+    edges = [e for e in (1, 4, 5, 8, 9, 10, 12, 13, 60, 61, 63, 64) if e <= n]
+    masks = [0, (1 << n) - 1, sum(1 << (e - 1) for e in edges), (1 << n) - 1 ^ sum(1 << (e - 1) for e in edges)]
+    masks += [1 << (e - 1) for e in edges]
+    masks += [(1 << e) - 1 for e in edges]  # every element up to an edge
+    for mask in masks:
+        check_text_forms(Subset(n, mask))
