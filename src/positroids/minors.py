@@ -71,6 +71,12 @@ class CaseLabel(enum.Enum):
     R_C = "R-c"
 
 
+def _element(j: int, n: int) -> int:
+    """j checked against 1..n, as a plain int: True is the element 1, as in Subset.of."""
+    _check_element(j, n)
+    return int(j)
+
+
 def _require_nonloop(necklace: GrassmannNecklace, j: int) -> None:
     # j is a loop exactly when it is missing from its own entry
     if not necklace.entries[j - 1].mask >> (j - 1) & 1:
@@ -118,7 +124,7 @@ def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     otherwise it is the largest element of I_a minus I_j in the shifted
     order starting at a.  Requires j not a loop.
     """
-    _check_element(j, necklace.n)
+    j = _element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_nonloop(necklace, j)
     return _swaps(necklace, j, True)[a - 1]
@@ -131,7 +137,7 @@ def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     otherwise it is the smallest element of I_{j+1} minus I_a in the shifted
     order starting at a.  Requires j not a coloop.
     """
-    _check_element(j, necklace.n)
+    j = _element(j, necklace.n)
     _check_element(a, necklace.n)
     _require_noncoloop(necklace, j)
     return _swaps(necklace, j, False)[a - 1]
@@ -144,7 +150,7 @@ def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     dropping j from each entry gives the necklace of the contracted matroid
     on the remaining elements.  Requires j not a loop.
     """
-    _check_element(j, necklace.n)
+    j = _element(j, necklace.n)
     _require_nonloop(necklace, j)
     return _minor(necklace, j, True)[1]
 
@@ -155,7 +161,7 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     The result lives on the same ground set with j in no entry; it is the
     necklace of the matroid with j deleted.  Requires j not a coloop.
     """
-    _check_element(j, necklace.n)
+    j = _element(j, necklace.n)
     _require_noncoloop(necklace, j)
     return _minor(necklace, j, False)[1]
 
@@ -189,7 +195,7 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     coloop just recolors it.  Contracting a loop is degenerate and returns
     the identity with all fixed points +1.
     """
-    _check_element(j, p.n)
+    j = _element(j, p.n)
     images = p.images
     n = len(images)
     if images[j - 1] == j:
@@ -226,7 +232,7 @@ def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     walk runs on dual(p), and dualising back leaves j a coloop of the
     complemented family, recolored as the loop it is after deletion.
     """
-    _check_element(j, p.n)
+    j = _element(j, p.n)
     if p.image(j) == j:
         if p.color(j) == 1:
             return p
@@ -288,7 +294,7 @@ def classify_square(
     recompute it.  Requires j not fixed (fixed j has no walk to classify).
     """
     _check_kind(kind)
-    _check_element(j, p.n)
+    j = _element(j, p.n)
     _check_element(a, p.n)
     if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to classify")
@@ -330,7 +336,7 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     exactly, and consecutive rows satisfy the necklace step rule.
     """
     _check_kind(kind)
-    _check_element(j, p.n)
+    j = _element(j, p.n)
     if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to trace")
     contracting = kind is MinorKind.CONTRACTION

@@ -1,5 +1,7 @@
 """Contraction and restriction: walks, necklace formulas, traces, conventions."""
 
+import json
+
 import pytest
 
 import positroids.minors
@@ -297,3 +299,49 @@ def test_composed_minors_commute_with_oracle():
     step2 = oracle_delete(step1, 5)
     walked = restrict(contract(p, 3), 5)
     assert bases_of(necklace_of(walked)).bases == step2.bases
+
+
+def ints_only(value):
+    """Whether every number inside a nested result is a plain int, not a bool."""
+    if isinstance(value, (list, tuple)):
+        return all(ints_only(v) for v in value)
+    if isinstance(value, dict):
+        return all(ints_only(k) and ints_only(v) for k, v in value.items())
+    return type(value) is not bool
+
+
+class TestTrueIsTheElementOne:
+    """j = True is the element 1, as in Subset.of: every result equals j = 1's, byte for byte."""
+
+    @pytest.mark.parametrize("text", ["2,1,3+", "1-,3,2", PERM, "2,3,1,4-", "1-,2+,4,3"])
+    def test_perm_minors(self, text):
+        p = parse_perm(text)
+        for op in (contract, restrict):
+            got, want = op(p, True), op(p, 1)
+            assert got == want and format_perm(got) == format_perm(want)
+            assert ints_only(got.images) and ints_only(got.colors)
+        for kind in MinorKind:
+            assert apply_minor(p, True, kind) == apply_minor(p, 1, kind)
+            assert is_degenerate(p, True, kind) == is_degenerate(p, 1, kind)
+        assert format_perm(contract(parse_perm("2,1,3+"), True)) == "1+,2+,3+"
+
+    @pytest.mark.parametrize("text", ["2,1,3+", PERM, "3,1,2,4-"])
+    def test_traces(self, text):
+        p = parse_perm(text)
+        for kind in MinorKind:
+            got, want = trace_minor(p, True, kind), trace_minor(p, 1, kind)
+            assert got == want and type(got.j) is int
+            assert render_trace(got) == render_trace(want)
+            obj = trace_to_obj(got)
+            assert json.dumps(obj) == json.dumps(trace_to_obj(want)) and ints_only(obj)
+            necklace = necklace_of(p)
+            for a in range(1, p.n + 1):
+                assert classify_square(p, necklace, True, a, kind) == classify_square(p, necklace, 1, a, kind)
+
+    def test_necklace_minors_and_swaps(self):
+        necklace = necklace_of(parse_perm(PERM))  # 1 is neither a loop nor a coloop
+        for minor in (contract_necklace, restrict_necklace):
+            assert format_necklace(minor(necklace, True)) == format_necklace(minor(necklace, 1))
+        for swap in (contraction_swap, restriction_swap):
+            swaps = [swap(necklace, True, a) for a in range(1, 9)]
+            assert swaps == [swap(necklace, 1, a) for a in range(1, 9)] and ints_only(swaps)

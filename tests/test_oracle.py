@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import positroids.cli
 import positroids.oracle
 from positroids import (
     BasisFamily,
@@ -196,6 +197,9 @@ class TestVerifyAll:
             verify_all(2, kinds=set())
         with pytest.raises(ValidationError):
             verify_all(2, jobs=0)
+        for jobs in (True, False, 1.0):
+            with pytest.raises(ValidationError, match=r"^jobs must be a positive integer, got "):
+                verify_all(2, jobs=jobs)
 
 
 class TestBasesMemo:
@@ -271,6 +275,17 @@ def assert_bits_match_the_set_oracle(family, memo):
     assert memo(necklace) == expected
 
 
+# every (n, k) with n <= 4, and two more at n = 5 with 1,023 families each
+EXHAUSTIVE_SIZES = [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 3)]
+
+
+def every_equal_size_family(n, k):
+    """Every non-empty family of k-subsets of {1..n}, matroid or not."""
+    subsets = [Subset.of(n, c) for c in combinations(range(1, n + 1), k)]
+    for chosen in range(1, 1 << len(subsets)):
+        yield BasisFamily(n, k, frozenset(s for i, s in enumerate(subsets) if chosen >> i & 1))
+
+
 class TestBitFamilies:
     """Bit-vector families inside the sweep agree with the set-based functions."""
 
@@ -281,15 +296,10 @@ class TestBitFamilies:
         for e, plane in enumerate(planes, start=1):
             assert plane == sum(1 << m for m in range(1 << n) if m >> (e - 1) & 1)
 
-    @pytest.mark.parametrize(
-        "n, k", [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 3)]
-    )
+    @pytest.mark.parametrize("n, k", EXHAUSTIVE_SIZES)
     def test_every_equal_size_family(self, n, k):
-        # every non-empty family of k-subsets, matroid or not
-        subsets = [Subset.of(n, c) for c in combinations(range(1, n + 1), k)]
         memo = positroids.oracle._BasesMemo()
-        for chosen in range(1, 1 << len(subsets)):
-            family = BasisFamily(n, k, frozenset(s for i, s in enumerate(subsets) if chosen >> i & 1))
+        for family in every_equal_size_family(n, k):
             assert_bits_match_the_set_oracle(family, memo)
 
     def test_empty_family_has_no_minima(self):
@@ -330,3 +340,99 @@ def lex_least(family, t):
 def test_oracle_necklace_is_the_lexicographic_minimum(family):
     entries = oracle_necklace(family).entries
     assert entries == tuple(lex_least(family, t) for t in range(1, family.n + 1))
+
+
+def one_bits(mask):
+    """The set bits of mask, each as an int of its own."""
+    bits = []
+    while mask:
+        bits.append(mask & -mask)
+        mask &= mask - 1
+    return bits
+
+
+def pairwise_exchange(family):
+    """Basis exchange read literally: for bases A, B and x in A-B some y in B-A fixes A-x+y."""
+    masks = {h.mask for h in family.bases}
+    for a in masks:
+        for b in masks:
+            for x in one_bits(a & ~b):
+                for y in one_bits(b & ~a):
+                    if a ^ x | y in masks:
+                        break
+                else:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n, k", EXHAUSTIVE_SIZES)
+def test_check_matroid_matches_the_pairwise_reference(n, k):
+    for family in every_equal_size_family(n, k):
+        assert check_matroid(family) == pairwise_exchange(family), family
+
+
+@st.composite
+def sparse_positroids(draw):
+    """The bases of a positroid on up to 64 elements where at most 8 positions move.
+
+    The moving positions are permuted among themselves and every other one is
+    a loop or a coloop, so the family has at most C(8, 4) = 70 bases.
+    """
+    n = draw(st.integers(1, 64))
+    moving = draw(st.lists(st.integers(1, n), max_size=8, unique=True))
+    images = list(range(1, n + 1))
+    for pos, image in zip(moving, draw(st.permutations(moving))):
+        images[pos - 1] = image
+    colors = {i: draw(st.sampled_from((-1, 1))) for i in range(1, n + 1) if images[i - 1] == i}
+    return bases_of(necklace_of(DecoratedPermutation.of(tuple(images), colors)))
+
+
+@st.composite
+def perturbed_positroids(draw):
+    """A positroid's bases with one basis dropped, or with one k-subset added."""
+    family = draw(sparse_positroids())
+    n, k, bases = family.n, family.k, set(family.bases)
+    if len(bases) > 1 and draw(st.booleans()):
+        bases.remove(draw(st.sampled_from(sorted(bases, key=lambda h: h.mask))))
+    else:
+        bases.add(Subset.of(n, draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
+    return BasisFamily(n, k, frozenset(bases))
+
+
+@given(st.one_of(equal_size_families(max_n=64), sparse_positroids(), perturbed_positroids()))
+@settings(max_examples=300, deadline=None)
+def test_check_matroid_matches_the_pairwise_reference_up_to_64(family):
+    assert check_matroid(family) == pairwise_exchange(family)
+
+
+@given(sparse_positroids())
+@settings(max_examples=100, deadline=None)
+def test_positroids_pass_basis_exchange_up_to_64(family):
+    assert check_matroid(family)
+
+
+def uniform_bases(k, n):
+    return [list(c) for c in combinations(range(1, n + 1), k)]
+
+
+def run_is_positroid(capsys, sets):
+    text = ";".join(",".join(map(str, s)) for s in sets)
+    assert positroids.cli.run(["is-positroid", "--bases", text]) == 0
+    return capsys.readouterr().out.strip()
+
+
+def test_uniform_family_through_the_cli(capsys):
+    # U(6,12): all 924 six-subsets of twelve elements
+    assert run_is_positroid(capsys, uniform_bases(6, 12)) == "positroid: true\nmatroid-exchange: true"
+
+
+@pytest.mark.parametrize("dropped", [0, 286])
+def test_uniform_family_less_one_basis_through_the_cli(capsys, dropped):
+    # basis 0 is {1..6}, the necklace's first entry; basis 286 is {1,3,5,7,9,11}, no entry
+    sets = uniform_bases(6, 12)
+    del sets[dropped]
+    family = BasisFamily.of(12, sets)
+    positroid = bases_of(oracle_necklace(family)).bases == family.bases
+    matroid = pairwise_exchange(family)
+    expected = f"positroid: {str(positroid).lower()}\nmatroid-exchange: {str(matroid).lower()}"
+    assert run_is_positroid(capsys, sets) == expected
