@@ -25,6 +25,13 @@ exception: `oracle.oracle_necklace` returns the Gale minima of any family
 unchecked, and for a family that is not a matroid they need not form a
 Grassmann necklace.
 
+A necklace holds the masks of its entries, one int each, and `_necklace`
+takes those masks.  Its `Subset` entries are built only when a caller reads
+`entries` (a trace, the JSON form, `entry(r)`), so the conversions, the
+swap formulas, the text forms and the sweep never build one; the step rule
+is checked on masks by `_mask_violations`, which `necklace_violations` and
+`parse_necklace` share.
+
 Subsets cross the text boundary by constant tables built at import.  Out,
 a mask is read one hexadecimal digit (4 elements) at a time: row r of
 `_CHUNK_MEMBERS` and `_CHUNK_TEXT` maps digit r of the mask, counted from the
@@ -42,6 +49,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import getitem
 
@@ -308,21 +316,26 @@ class DecoratedPermutation:
         seen = set()
         fixed = []
         for pos, v in enumerate(images, start=1):
-            if not isinstance(v, int) or not 1 <= v <= n:
-                raise ValidationError(f"image at position {pos} {v!r} is out of range 1..{n}")
+            # a plain int passes the class test as cheaply as isinstance; a
+            # bool is an int that names no element
+            if v.__class__ is not int and (v.__class__ is bool or not isinstance(v, int)) or not 1 <= v <= n:
+                what = "a bool, not an element" if v.__class__ is bool else f"out of range 1..{n}"
+                raise ValidationError(f"image at position {pos} {v!r} is {what}")
             if v in seen:
                 raise ValidationError(f"image {v} repeats at position {pos}; not a permutation")
             seen.add(v)
             if v == pos:
                 fixed.append(pos)
         fixed = tuple(fixed)
-        for pair in colors:
+        for pos, pair in enumerate(colors, start=1):
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValidationError(f"color entry {pair!r} is not a (fixed point, color) pair")
             i, c = pair
+            if i.__class__ is bool:
+                raise ValidationError(f"color entry {pos} is given for {i!r}, a bool, not a fixed point")
             if i not in fixed:
                 raise ValidationError(f"color given for {i}, which is not a fixed point")
-            if c not in (-1, 1):
+            if c.__class__ is bool or c not in (-1, 1):
                 raise ValidationError(f"color of {i} must be +1 or -1, got {c!r}")
         listed = tuple([i for i, _ in colors])
         if listed != fixed:
@@ -344,7 +357,7 @@ class DecoratedPermutation:
     @classmethod
     def identity(cls, n: int, color: int = 1) -> "DecoratedPermutation":
         _check_n(n)
-        if color not in (-1, 1):
+        if color.__class__ is bool or color not in (-1, 1):
             raise ValidationError(f"color of 1 must be +1 or -1, got {color!r}")
         return _perm(tuple(range(1, n + 1)), tuple((i, color) for i in range(1, n + 1)))
 
@@ -374,7 +387,7 @@ class DecoratedPermutation:
         raise ValidationError(f"{i} is not a fixed point")
 
     def with_color(self, i: int, color: int) -> "DecoratedPermutation":
-        if color not in (-1, 1):
+        if color.__class__ is bool or color not in (-1, 1):
             raise ValidationError(f"color must be +1 or -1, got {color!r}")
         self.color(i)  # raises when i is not fixed
         return _perm(self.images, tuple((j, color if j == i else c) for j, c in self.colors))
@@ -414,33 +427,44 @@ def dual(p: DecoratedPermutation) -> DecoratedPermutation:
     return _perm(p.inverse(), tuple((i, -c) for i, c in p.colors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GrassmannNecklace:
     """Cyclic sequence I_1, ..., I_n of k-subsets obeying the step rule.
 
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
     element, otherwise I_{i+1} = I_i.  Indices are cyclic, so entry(n+1) is
-    entry(1).  The constructor checks the entries like validate_necklace;
-    `oracle.oracle_necklace` builds its value without the check and, for a
-    family that is not a matroid, can return one that breaks the step rule.
+    entry(1).  The constructor takes the entries as Subsets and checks them
+    like validate_necklace; `oracle.oracle_necklace` builds its value without
+    the check and, for a family that is not a matroid, can return one that
+    breaks the step rule.
+
+    What is stored is `masks`, the entries' bitmasks; equality and hashing
+    use them.  `entries`, the Subsets, is built from the masks on first
+    access and kept.
     """
 
-    entries: tuple[Subset, ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: Sequence[Subset]):
+        if not entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
-        bad = necklace_violations(self.entries)
+        bad = necklace_violations(entries)
         if bad:
             raise InvalidNecklaceError(bad)
+        self.__dict__["masks"] = tuple([e.mask for e in entries])
+
+    @cached_property
+    def entries(self) -> tuple[Subset, ...]:
+        n = len(self.masks)
+        return tuple([_subset(n, mask) for mask in self.masks])
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.masks)
 
     @property
     def k(self) -> int:
-        return len(self.entries[0])
+        return self.masks[0].bit_count()
 
     def entry(self, r: int) -> Subset:
         """Entry I_r, with r read cyclically (any integer works)."""
@@ -450,10 +474,10 @@ class GrassmannNecklace:
         return f"GrassmannNecklace({format_necklace(self)!r})"
 
 
-def _necklace(entries: tuple[Subset, ...]) -> GrassmannNecklace:
-    """GrassmannNecklace(entries) without the checks, for entries known valid."""
+def _necklace(masks: tuple[int, ...]) -> GrassmannNecklace:
+    """A necklace with these entry masks, without the checks, for masks known valid."""
     necklace = object.__new__(GrassmannNecklace)
-    necklace.__dict__["entries"] = entries
+    necklace.__dict__["masks"] = masks
     return necklace
 
 
@@ -484,7 +508,13 @@ def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
     if len(entries) != n:
         out.append(NecklaceViolation(0, "shape", f"{len(entries)} entries for ground set of size {n}"))
         return out
-    masks = [e.mask for e in entries]
+    return _mask_violations([e.mask for e in entries])
+
+
+def _mask_violations(masks: Sequence[int]) -> list[NecklaceViolation]:
+    """The size and step violations of n entry masks on a ground set of size n."""
+    out = []
+    n = len(masks)
     k = masks[0].bit_count()
     for idx, mask in enumerate(masks, start=1):
         if mask.bit_count() != k:
@@ -511,7 +541,7 @@ def validate_necklace(entries: Sequence[Subset]) -> GrassmannNecklace:
     bad = necklace_violations(entries)
     if bad:
         raise InvalidNecklaceError(bad)
-    return _necklace(tuple(entries))
+    return _necklace(tuple([e.mask for e in entries]))
 
 
 def necklace_step(entry: Subset, i: int, image: int) -> Subset:
@@ -539,13 +569,13 @@ def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
     for pre, i in enumerate(images, start=1):
         if i < pre:  # read from 1, i comes before its preimage
             mask |= 1 << (i - 1)
-    entries = []
+    masks = []
     for r in range(1, n + 1):
-        entries.append(_subset(n, mask))
+        masks.append(mask)
         bit = 1 << (r - 1)
         if mask & bit:
             mask = mask ^ bit | 1 << (images[r - 1] - 1)
-    return _necklace(tuple(entries))
+    return _necklace(tuple(masks))
 
 
 def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
@@ -555,18 +585,18 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
     to j; when the entry repeats, i is a fixed point, colored -1 when i sits
     in I_i (coloop) and +1 otherwise (loop).
     """
-    entries = necklace.entries
-    n = len(entries)
+    masks = necklace.masks
+    n = len(masks)
     images = [0] * n
     colors = {}
     for i in range(1, n + 1):
-        cur = entries[i - 1]
+        cur = masks[i - 1]
         bit = 1 << (i - 1)
-        if not cur.mask & bit:
+        if not cur & bit:
             images[i - 1] = i
             colors[i] = 1
             continue
-        gained = entries[i % n].mask & ~(cur.mask ^ bit)
+        gained = masks[i % n] & ~(cur ^ bit)
         if gained.bit_count() != 1:
             raise InvalidNecklaceError([NecklaceViolation(i, "step", "entry does not follow the step rule")])
         j = gained.bit_length()
@@ -589,13 +619,14 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     """
     from itertools import combinations
 
-    n, k = necklace.n, necklace.k
+    masks = necklace.masks
+    n, k = len(masks), masks[0].bit_count()
     coloops, somewhere = (1 << n) - 1, 0
-    for e in necklace.entries:
-        coloops &= e.mask
-        somewhere |= e.mask
+    for mask in masks:
+        coloops &= mask
+        somewhere |= mask
     free = somewhere & ~coloops
-    bounds = {pair for t, e in enumerate(necklace.entries, start=1) for pair in _gale_bounds(e.mask, t, n)}
+    bounds = {pair for t, mask in enumerate(masks, start=1) for pair in _gale_bounds(mask, t, n)}
     tests = [(prefix, count) for prefix, count in bounds if prefix.bit_count() > count]
     found = []
     for combo in combinations([1 << p for p in range(n) if free >> p & 1], k - coloops.bit_count()):
@@ -742,7 +773,12 @@ def parse_perm(text: str) -> DecoratedPermutation:
 
 
 def format_subset(s: Subset) -> str:
-    return "".join(map(getitem, _CHUNK_TEXT, f"{s.mask:x}"[::-1]))[:-1]
+    return _format_mask(s.mask)
+
+
+def _format_mask(mask: int) -> str:
+    # the mask's hex digits, lowest first, pick one table row each
+    return "".join(map(getitem, _CHUNK_TEXT, f"{mask:x}"[::-1]))[:-1]
 
 
 def _token_mask(s: str) -> int:
@@ -783,7 +819,7 @@ def _read_subset(text: str, s: str, n: int) -> Subset:
 
 
 def format_necklace(necklace: GrassmannNecklace) -> str:
-    return ";".join(map(format_subset, necklace.entries))
+    return ";".join(map(_format_mask, necklace.masks))
 
 
 def parse_necklace(text: str) -> GrassmannNecklace:
@@ -793,17 +829,20 @@ def parse_necklace(text: str) -> GrassmannNecklace:
     n = len(parts)
     if n > MAX_GROUND_SET:
         raise ValidationError(f"{n} entries exceed the ground set cap of {MAX_GROUND_SET}")
-    entries = []
+    masks = []
     for idx, part in enumerate(parts, start=1):
         mask = _token_mask(part)
         if mask >> n:  # -1 as well: the int() path accepts or reports the entry
             try:
-                entries.append(_read_subset(part, part, n))
+                mask = _read_subset(part, part, n).mask
             except ValidationError as e:
                 raise ValidationError(f"entry {idx}: {e}") from None
-        else:
-            entries.append(_subset(n, mask))
-    return validate_necklace(entries)
+        masks.append(mask)
+    # n entries on a ground set of size n: only the size and step rules can fail
+    bad = _mask_violations(masks)
+    if bad:
+        raise InvalidNecklaceError(bad)
+    return _necklace(tuple(masks))
 
 
 def format_bases(family: BasisFamily) -> str:

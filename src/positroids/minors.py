@@ -34,7 +34,6 @@ from .core import (
     _necklace,
     _shifted_max,
     _shifted_min,
-    _subset,
     dual,
     format_perm,
     format_subset,
@@ -79,13 +78,13 @@ def _element(j: int, n: int) -> int:
 
 def _require_nonloop(necklace: GrassmannNecklace, j: int) -> None:
     # j is a loop exactly when it is missing from its own entry
-    if not necklace.entries[j - 1].mask >> (j - 1) & 1:
+    if not necklace.masks[j - 1] >> (j - 1) & 1:
         raise PreconditionError(f"{j} is a loop; the contracted necklace is undefined")
 
 
 def _require_noncoloop(necklace: GrassmannNecklace, j: int) -> None:
     # j is a coloop exactly when it survives into the entry after its own
-    if necklace.entries[j % necklace.n].mask >> (j - 1) & 1:
+    if necklace.masks[j % necklace.n] >> (j - 1) & 1:
         raise PreconditionError(f"{j} is a coloop; the restricted necklace is undefined")
 
 
@@ -96,13 +95,13 @@ def _swaps(necklace: GrassmannNecklace, j: int, contracting: bool) -> list[int]:
     order from a, or j when j already sits in I_a; restricting, it is the
     smallest element of I_{j+1} minus I_a, or j when j is absent from I_a.
     """
-    entries = necklace.entries
+    masks = necklace.masks
     bit = 1 << (j - 1)
     if contracting:
-        pool = entries[j - 1].mask
-        return [j if e.mask & bit else _shifted_max(e.mask & ~pool, a) for a, e in enumerate(entries, 1)]
-    pool = entries[j % necklace.n].mask
-    return [_shifted_min(pool & ~e.mask, a) if e.mask & bit else j for a, e in enumerate(entries, 1)]
+        pool = masks[j - 1]
+        return [j if m & bit else _shifted_max(m & ~pool, a) for a, m in enumerate(masks, 1)]
+    pool = masks[j % len(masks)]
+    return [_shifted_min(pool & ~m, a) if m & bit else j for a, m in enumerate(masks, 1)]
 
 
 def _minor(necklace: GrassmannNecklace, j: int, contracting: bool) -> tuple[list[int], GrassmannNecklace]:
@@ -110,11 +109,9 @@ def _minor(necklace: GrassmannNecklace, j: int, contracting: bool) -> tuple[list
 
     K_a is I_a with j and s_a exchanged, and equals I_a where s_a is j.
     """
-    n = necklace.n
     bit = 1 << (j - 1)
     swaps = _swaps(necklace, j, contracting)
-    minor = [e if s == j else _subset(n, e.mask ^ bit ^ 1 << (s - 1)) for e, s in zip(necklace.entries, swaps)]
-    return swaps, _necklace(tuple(minor))
+    return swaps, _necklace(tuple([m if s == j else m ^ bit ^ 1 << (s - 1) for m, s in zip(necklace.masks, swaps)]))
 
 
 def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:

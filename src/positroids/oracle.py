@@ -104,7 +104,7 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
     n = family.n
     # bases as bit strings, element 1 first: read from t, the least basis holds
     # the first element where two differ, so its string is the greatest
-    rows = {format(h.mask, f"0{n}b")[::-1]: h for h in family.bases}
+    rows = {format(h.mask, f"0{n}b")[::-1]: h.mask for h in family.bases}
     return _necklace(tuple(rows[max(rows, key=lambda row: row[t:] + row[:t])] for t in range(n)))
 
 
@@ -204,19 +204,19 @@ def _check_squares(p, necklace, minor_necklace, result, j, kind):
     failures = []
     images, result_images = p.images, result.images
     n = len(images)
-    entries = minor_necklace.entries
+    minor = minor_necklace.masks
     for a in range(1, n + 1):
         # the step rule from K_a under the minor's image of a
-        mask = entries[a - 1].mask
+        mask = minor[a - 1]
         bit = 1 << (a - 1)
         if mask & bit:
             mask = mask ^ bit | 1 << (result_images[a - 1] - 1)
-        if mask != entries[a % n].mask:
+        if mask != minor[a % n]:
             failures.append("commutation")
             break
     contracting = kind is MinorKind.CONTRACTION
     not_j = ~(1 << (j - 1))
-    swaps = [((e.mask ^ m.mask) & not_j).bit_length() or j for e, m in zip(necklace.entries, entries)]
+    swaps = [((e ^ m) & not_j).bit_length() or j for e, m in zip(necklace.masks, minor)]
     for a in range(1, n + 1):
         here = swaps[a - 1]
         there = swaps[a % n]  # the swap at a + 1
@@ -306,14 +306,14 @@ def _verify_instance(p, necklace, family, j, kind, bases, planes):
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
     kept_minima = _gale_minima(kept, planes)
-    if kept_minima != tuple(e.mask for e in minor_necklace.entries):
+    if kept_minima != minor_necklace.masks:
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
     agreed = minor_necklace
     if contracting:
         bit = 1 << (j - 1)
-        agreed = _necklace(tuple(_subset(n, e.mask & ~bit) for e in minor_necklace.entries))
+        agreed = _necklace(tuple([m & ~bit for m in minor_necklace.masks]))
     if result_necklace != agreed:
         failures.append("necklace-agreement")
     if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
@@ -346,7 +346,7 @@ class _BasesMemo:
         self.families: dict[tuple[int, ...], int] = {}
 
     def __call__(self, necklace: GrassmannNecklace) -> int:
-        return self.of_masks(tuple(e.mask for e in necklace.entries))
+        return self.of_masks(necklace.masks)
 
     def of_masks(self, key: tuple[int, ...]) -> int:
         """The family, as a bit vector, of the necklace with these entry masks."""
@@ -354,9 +354,7 @@ class _BasesMemo:
         if bits is None:
             if len(self.families) >= BASES_MEMO_CAP:
                 self.families.clear()
-            n = len(key)
-            necklace = _necklace(tuple(_subset(n, m) for m in key))
-            bits = self.families[key] = sum(1 << h.mask for h in bases_of(necklace).bases)
+            bits = self.families[key] = sum(1 << h.mask for h in bases_of(_necklace(key)).bases)
         return bits
 
 
@@ -388,7 +386,7 @@ def _sweep(n, kind_values, stride, offset):
             if perm_of(necklace) != p:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
             family = bases(necklace)
-            if _gale_minima(family, planes) != tuple(e.mask for e in necklace.entries):
+            if _gale_minima(family, planes) != necklace.masks:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
         except PositroidError as err:
             # with no necklace or family there is nothing to check the minors against

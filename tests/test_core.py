@@ -166,6 +166,28 @@ class TestDecoratedPermutation:
         with pytest.raises(ValidationError, match="color given for x, which is not a fixed point"):
             DecoratedPermutation.of((2, 1, 3), {3: -1, "x": 1})
 
+    def test_rejects_bools(self):
+        # True == 1, but a bool image or key once came out as `2,True` and `"perm": [2, true]`
+        cases = [
+            (((2, True), {}), "image at position 2 True is a bool, not an element"),
+            (((True, 2), {True: -1, 2: 1}), "image at position 1 True is a bool, not an element"),
+            (((1, 2), {True: -1, 2: 1}), "color entry 1 is given for True, a bool, not a fixed point"),
+            (((1, 2), {1: 1, 2: True}), "color of 2 must be +1 or -1, got True"),
+        ]
+        for (images, colors), message in cases:
+            for build in (DecoratedPermutation.of, lambda im, co: DecoratedPermutation(im, tuple(sorted(co.items())))):
+                with pytest.raises(ValidationError) as err:
+                    build(images, colors)
+                assert str(err.value) == message
+        with pytest.raises(ValidationError, match="color of 1 must be"):
+            DecoratedPermutation.identity(2, True)
+        with pytest.raises(ValidationError, match="color must be"):
+            parse_perm("1+,2+").with_color(1, False)
+        # other ints keep passing, and a non-int keeps its old message
+        assert format_perm(DecoratedPermutation.of((2, 1), {})) == "2,1"
+        with pytest.raises(ValidationError, match=r"^image at position 1 1\.0 is out of range 1\.\.2$"):
+            DecoratedPermutation((1.0, 2), ())
+
     def test_identity_validates(self):
         with pytest.raises(ValidationError, match="color of 1 must be"):
             DecoratedPermutation.identity(3, 0)
@@ -236,34 +258,52 @@ class TestBijection:
             assert necklace_step(necklace.entry(i), i, p.image(i)) == necklace.entry(i + 1)
 
 
+# Candidate necklaces as (ground set size, members of each entry), read by
+# the Subset-level tests below and, as text, by the parser's mask-level check.
+NECKLACE_CASES = {
+    "valid": (3, [[1, 2], [2, 3], [3, 1]]),
+    "cyclic": (2, [[1], [2]]),
+    "wrong-count": (3, [[1], [2]]),
+    "size": (2, [[1, 2], [2]]),
+    "should-repeat": (3, [[1], [1], [2]]),
+    "drops-too-much": (3, [[1, 2], [3, 1], [3, 1]]),
+    "constructor": (3, [[1], [1, 2], [3]]),
+    "all-violations": (3, [[1], [3], [2]]),
+}
+
+
+def case_entries(name):
+    n, sets = NECKLACE_CASES[name]
+    return [Subset.of(n, s) for s in sets]
+
+
 class TestNecklaceValidation:
     def test_valid_sequences_pass(self):
-        entries = [Subset.of(3, [1, 2]), Subset.of(3, [2, 3]), Subset.of(3, [3, 1])]
+        entries = case_entries("valid")
         necklace = validate_necklace(entries)
         assert necklace.n == 3 and necklace.k == 2
         assert perm_of(necklace).images == (3, 1, 2)
 
     def test_entry_indexing_is_cyclic(self):
-        necklace = validate_necklace([Subset.of(2, [1]), Subset.of(2, [2])])
+        necklace = validate_necklace(case_entries("cyclic"))
         assert necklace.entry(3) == necklace.entry(1)
         assert necklace.entry(0) == necklace.entry(2)
 
     def test_wrong_entry_count(self):
-        bad = necklace_violations([Subset.of(3, [1]), Subset.of(3, [2])])
+        bad = necklace_violations(case_entries("wrong-count"))
         assert any(v.clause == "shape" for v in bad)
 
     def test_size_mismatch(self):
-        bad = necklace_violations([Subset.of(2, [1, 2]), Subset.of(2, [2])])
+        bad = necklace_violations(case_entries("size"))
         assert any(v.clause == "size" and v.index == 2 for v in bad)
 
     def test_step_violation_when_entry_should_repeat(self):
         # 2 is absent from I_2, so I_3 must equal I_2
-        bad = necklace_violations([Subset.of(3, [1]), Subset.of(3, [1]), Subset.of(3, [2])])
+        bad = necklace_violations(case_entries("should-repeat"))
         assert any(v.clause == "step" and v.index == 2 for v in bad)
 
     def test_step_violation_when_entry_drops_too_much(self):
-        entries = [Subset.of(3, [1, 2]), Subset.of(3, [3, 1]), Subset.of(3, [3, 1])]
-        bad = necklace_violations(entries)
+        bad = necklace_violations(case_entries("drops-too-much"))
         assert any(v.clause == "step" and v.index == 1 for v in bad)
 
     def test_entry_that_is_not_a_subset(self):
@@ -277,7 +317,7 @@ class TestNecklaceValidation:
 
     def test_constructor_validates(self):
         # not a necklace: I_2 is larger than I_1, and the steps at 1 and 2 break the rule
-        entries = (Subset.of(3, [1]), Subset.of(3, [1, 2]), Subset.of(3, [3]))
+        entries = tuple(case_entries("constructor"))
         with pytest.raises(InvalidNecklaceError) as err:
             GrassmannNecklace(entries)
         assert err.value.violations == necklace_violations(entries)
@@ -303,11 +343,26 @@ class TestNecklaceValidation:
         assert len(calls) == 1
 
     def test_all_violations_reported(self):
-        entries = [Subset.of(3, [1]), Subset.of(3, [3]), Subset.of(3, [2])]
         with pytest.raises(InvalidNecklaceError) as err:
-            validate_necklace(entries)
+            validate_necklace(case_entries("all-violations"))
         assert len(err.value.violations) == 2
         assert {v.index for v in err.value.violations} == {2, 3}
+
+    @pytest.mark.parametrize("name", sorted(NECKLACE_CASES))
+    def test_parse_reports_the_subset_level_violations(self, name):
+        # parse_necklace checks masks; the text fixes n to the entry count, so
+        # "wrong-count" reads as a valid necklace on two elements
+        sets = NECKLACE_CASES[name][1]
+        entries = [Subset.of(len(sets), s) for s in sets]
+        expected = necklace_violations(entries)
+        assert bool(expected) == (name not in ("valid", "cyclic", "wrong-count"))
+        text = ";".join(",".join(map(str, s)) for s in sets)
+        if expected:
+            with pytest.raises(InvalidNecklaceError) as err:
+                parse_necklace(text)
+            assert err.value.violations == expected
+        else:
+            assert parse_necklace(text) == GrassmannNecklace(entries)
 
 
 class TestBases:

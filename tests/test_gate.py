@@ -13,7 +13,7 @@ import positroids.core
 import positroids.minors
 import positroids.oracle
 from positroids import DecoratedPermutation, dual, verify_all
-from positroids.core import ValidationError, _family, _necklace, _subset
+from positroids.core import ValidationError, _family, _necklace
 
 
 def contract_stopping_early(real):
@@ -89,12 +89,9 @@ def swap_read_one_late(kind_contracting):
             swaps, minor_necklace = real(necklace, j, contracting)
             if contracting != kind_contracting:
                 return swaps, minor_necklace
-            n, bit = necklace.n, 1 << (j - 1)
+            bit = 1 << (j - 1)
             late = swaps[1:] + swaps[:1]
-            entries = necklace.entries
-            return late, _necklace(
-                tuple(e if s == j else _subset(n, e.mask ^ bit ^ 1 << (s - 1)) for e, s in zip(entries, late))
-            )
+            return late, _necklace(tuple(m if s == j else m ^ bit ^ 1 << (s - 1) for m, s in zip(necklace.masks, late)))
 
         return minor
 
@@ -103,7 +100,7 @@ def swap_read_one_late(kind_contracting):
 
 def contract_necklace_skipping_entry_1(real):
     def contract_necklace(necklace, j):
-        return _necklace((necklace.entries[0],) + real(necklace, j).entries[1:])
+        return _necklace((necklace.masks[0],) + real(necklace, j).masks[1:])
 
     return contract_necklace
 
@@ -111,12 +108,12 @@ def contract_necklace_skipping_entry_1(real):
 def restrict_necklace_leaving_j_once(real):
     # the first entry holding j keeps it
     def restrict_necklace(necklace, j):
-        entries = list(real(necklace, j).entries)
-        for a, entry in enumerate(necklace.entries):
-            if j in entry:
-                entries[a] = entry
+        masks = list(real(necklace, j).masks)
+        for a, mask in enumerate(necklace.masks):
+            if mask >> (j - 1) & 1:
+                masks[a] = mask
                 break
-        return _necklace(tuple(entries))
+        return _necklace(tuple(masks))
 
     return restrict_necklace
 
@@ -133,7 +130,7 @@ def perm_of_flipping_a_coloop(real):
 def perm_of_rejecting_all_fixed_points(real):
     # a necklace whose entries are all equal comes from a perm that fixes everything
     def perm_of(necklace):
-        if len(set(necklace.entries)) == 1:
+        if len(set(necklace.masks)) == 1:
             raise ValidationError("planted: every entry is the same")
         return real(necklace)
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import positroids.core
 import positroids.minors
 from positroids import (
     CaseLabel,
@@ -83,11 +84,12 @@ class TestSwaps:
                 assert restriction_swap(necklace, RESTRICT_J, a) == RESTRICT_J
 
     def test_public_swaps_build_no_subset(self, perm, necklace, monkeypatch):
-        # one swap or label reads the swap list only, never the minor necklace
+        # one swap or label reads the swap list only: no minor necklace, and no
+        # Subset anywhere, since a necklace holds masks
         def no_subset(n, mask):
             raise AssertionError("a swap call built a Subset")
 
-        monkeypatch.setattr(positroids.minors, "_subset", no_subset)
+        monkeypatch.setattr(positroids.core, "_subset", no_subset)
         assert [contraction_swap(necklace, CONTRACT_J, a) for a in range(1, 9)] == CONTRACT_SWAPS
         assert [restriction_swap(necklace, RESTRICT_J, a) for a in range(1, 9)] == RESTRICT_SWAPS
         assert [classify_square(perm, necklace, CONTRACT_J, a).value for a in range(1, 9)] == CONTRACT_CASES

@@ -1,5 +1,7 @@
 """Randomized properties over decorated permutations and subsets."""
 
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from positroids import (
     contraction_swap,
     cyclic_lt,
     dual,
+    enumerate_decorated_perms,
     format_necklace,
     format_subset,
     gale_extremum,
@@ -472,6 +475,48 @@ def test_necklace_text_round_trip(p):
     assert format_necklace(parse_necklace(text)) == text
 
 
+def check_necklace_forms(x):
+    """A necklace held as masks agrees with the same necklace built from Subsets."""
+    assert [e.mask for e in x.entries] == list(x.masks)
+    y = GrassmannNecklace(x.entries)
+    assert y == x and hash(y) == hash(x)
+    assert y.entries == x.entries and y.masks == x.masks
+    assert (y.n, y.k, repr(y)) == (x.n, x.k, repr(x))
+    assert all(y.entry(r) == x.entry(r) for r in range(-1, x.n + 2))
+    assert parse_necklace(format_necklace(x)) == x
+
+
+def minor_necklaces(x):
+    """Every contraction and restriction necklace of x that is defined."""
+    n = x.n
+    for j in range(1, n + 1):
+        if x.masks[j - 1] >> (j - 1) & 1:  # not a loop
+            yield contract_necklace(x, j)
+        if not x.masks[j % n] >> (j - 1) & 1:  # not a coloop
+            yield restrict_necklace(x, j)
+
+
+@given(decorated_perms(max_n=64), st.data())
+@settings(max_examples=120, deadline=None)
+def test_mask_and_subset_necklaces_agree(p, data):
+    x = necklace_of(p)
+    check_necklace_forms(x)
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert pickle.loads(pickle.dumps(GrassmannNecklace(x.entries))) == x
+    minors = list(minor_necklaces(x))
+    if minors:
+        check_necklace_forms(data.draw(st.sampled_from(minors)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_and_subset_necklaces_agree_exhaustively(n):
+    for p in enumerate_decorated_perms(n):
+        x = necklace_of(p)
+        check_necklace_forms(x)
+        for minor in minor_necklaces(x):
+            check_necklace_forms(minor)
+
+
 BAD_VALUES = st.one_of(
     st.integers(max_value=0),
     st.integers(min_value=65),
@@ -518,7 +563,7 @@ def test_violations_match_the_subset_level_check(entries):
 def test_perm_of_matches_the_element_level_reading(entries):
     # an unchecked necklace reaches perm_of's own step check; a necklace on
     # mixed ground sets cannot be built by the public constructor
-    assert outcome(perm_of, _necklace(tuple(entries))) == outcome(reference_perm_of, entries)
+    assert outcome(perm_of, _necklace(tuple(e.mask for e in entries))) == outcome(reference_perm_of, entries)
 
 
 def passes_gale_bounds(necklace, h):
