@@ -92,7 +92,8 @@ class InvalidNecklaceError(ValidationError):
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    # a plain int passes the class test as cheaply as isinstance; a bool does not
+    if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)) or n < 1:
         raise ValidationError(f"ground set size must be a positive integer, got {n!r}")
     if n > MAX_GROUND_SET:
         raise ValidationError(f"ground set size {n} exceeds the cap of {MAX_GROUND_SET}")

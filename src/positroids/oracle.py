@@ -10,7 +10,9 @@ The public functions take and return `BasisFamily` values at any n.  Inside
 the sweep a family is a bit vector of 2^n bits instead, one int whose bit m
 is set when the subset with mask m is a basis, so that minors, Gale minima
 and family equality are a few big-int operations each; the set-based public
-functions are the reference the bit helpers are tested against.
+functions are the reference the bit helpers are tested against.  Each sweep
+memoises `bases_of` as bits in a `functools.lru_cache` of at most
+BASES_MEMO_CAP families, freed when the sweep returns.
 
 `check_matroid` numbers the bases instead and keeps one witness plane per
 element, an int with one bit per basis that is set when the basis avoids
@@ -25,6 +27,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from itertools import permutations, product
 
 from .core import (
@@ -57,11 +60,11 @@ from .minors import (
 
 ENUMERATION_CAP = 10
 
-# Families the per-sweep bases memo holds before it starts over: every
-# necklace of n = 7 fits (13,700 decorated permutations).  A family is a bit
-# vector of 2^n bits, so an entry is one int of 2^n / 8 bytes plus its key
-# tuple and dict slot: about 0.24 KB at n = 7 and 0.66 KB at n = 10, so a
-# full memo takes about 4 MB at n = 7 and at most 11 MB.
+# Families each sweep's least-recently-used bases memo holds: every necklace
+# of n = 7 fits (13,700 decorated permutations), so below n = 8 nothing is
+# evicted.  An entry is one int of 2^n / 8 bytes plus its key tuple of n
+# masks, the cache's link node and dict slot: about 0.28 KB at n = 7 and
+# 0.62 KB at n = 10, so a full memo takes about 4.4 MB and at most 10 MB.
 BASES_MEMO_CAP = 1 << 14
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
@@ -158,11 +161,15 @@ def check_matroid(family: BasisFamily) -> bool:
     return True
 
 
-def enumerate_decorated_perms(n: int):
-    """All decorated permutations of {1..n}, lex by images then colors."""
+def _check_enumerable(n):
     _check_n(n)
     if n > ENUMERATION_CAP:
         raise ValidationError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
+
+
+def enumerate_decorated_perms(n: int):
+    """All decorated permutations of {1..n}, lex by images then colors."""
+    _check_enumerable(n)
     for images in permutations(range(1, n + 1)):
         fixed = [i for i in range(1, n + 1) if images[i - 1] == i]
         for signs in product((-1, 1), repeat=len(fixed)):
@@ -274,17 +281,17 @@ def _gale_minima(bits, planes):
     return tuple(minima)
 
 
-def _verify_instance(p, necklace, family, j, kind, bases, planes):
+def _verify_instance(p, necklace, family, j, kind, bits_of, planes):
     """Run every oracle comparison for one (perm, j, kind) instance.
 
     Returns (degenerate, failure tags).  Degenerate instances only assert
     the identity convention; everything else is checked against the brute
     force route and the structural expectations (j becomes a loop, rank
     drops by one under contraction and holds under restriction).  `family`
-    is p's basis family as a bit vector, `bases` the sweep's bases_of memo
-    and `planes` the sweep's element planes.  The per-kind routines and the
-    bit helpers are looked up when called, so a patched module binding is
-    the one checked.
+    is p's basis family as a bit vector, `bits_of` the sweep's memoised
+    `_family_bits` and `planes` the sweep's element planes.  The per-kind
+    routines and the bit helpers are looked up when called, so a patched
+    module binding is the one checked.
     """
     failures = []
     n, k = necklace.n, necklace.k
@@ -302,7 +309,7 @@ def _verify_instance(p, necklace, family, j, kind, bases, planes):
     else:
         oracle_family = kept = _delete_bits(family, planes, j)
     result_necklace = necklace_of(result)
-    if bases(result_necklace) != oracle_family:
+    if bits_of(result_necklace.masks) != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
     kept_minima = _gale_minima(kept, planes)
@@ -326,36 +333,20 @@ def _verify_instance(p, necklace, family, j, kind, bases, planes):
         failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
     # positroid closure: the oracle family is cut out by its own Gale minima
     minima = _gale_minima(oracle_family, planes) if contracting else kept_minima
-    if minima is None or bases.of_masks(minima) != oracle_family:
+    if minima is None or bits_of(minima) != oracle_family:
         failures.append("closure")
     if loop_coloop_status(result, j) != "loop" or result_necklace.k != (k - 1 if contracting else k):
         failures.append("structure")
     return False, failures
 
 
-class _BasesMemo:
-    """bases_of for one sweep as bit vectors, memoised on the entry masks.
+def _family_bits(masks):
+    """bases_of, as a bit vector, of the necklace with these entry masks.
 
     A basis is a k-subset Gale-above every entry, so the family depends on
-    the entry masks alone.  Each family is kept as one int of 2^n bits, bit
-    m set when the subset with mask m is a basis; one memo serves one ground
-    set size.  At BASES_MEMO_CAP families the memo starts over.
+    the entry masks alone; `_sweep` memoises this per call.
     """
-
-    def __init__(self):
-        self.families: dict[tuple[int, ...], int] = {}
-
-    def __call__(self, necklace: GrassmannNecklace) -> int:
-        return self.of_masks(necklace.masks)
-
-    def of_masks(self, key: tuple[int, ...]) -> int:
-        """The family, as a bit vector, of the necklace with these entry masks."""
-        bits = self.families.get(key)
-        if bits is None:
-            if len(self.families) >= BASES_MEMO_CAP:
-                self.families.clear()
-            bits = self.families[key] = sum(1 << h.mask for h in bases_of(_necklace(key)).bases)
-        return bits
+    return sum(1 << h.mask for h in bases_of(_necklace(masks)).bases)
 
 
 def _sweep(n, kind_values, stride, offset):
@@ -376,7 +367,7 @@ def _sweep(n, kind_values, stride, offset):
         if first_key is None or key < first_key:
             first_key = key
             first_msg = msg
-    bases = _BasesMemo()
+    bits_of = lru_cache(maxsize=BASES_MEMO_CAP)(_family_bits)
     planes = _element_planes(n)
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
@@ -385,7 +376,7 @@ def _sweep(n, kind_values, stride, offset):
             necklace = necklace_of(p)
             if perm_of(necklace) != p:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
-            family = bases(necklace)
+            family = bits_of(necklace.masks)
             if _gale_minima(family, planes) != necklace.masks:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
         except PositroidError as err:
@@ -395,7 +386,7 @@ def _sweep(n, kind_values, stride, offset):
         for j in range(1, n + 1):
             for kind in kinds:
                 try:
-                    skipped, fails = _verify_instance(p, necklace, family, j, kind, bases, planes)
+                    skipped, fails = _verify_instance(p, necklace, family, j, kind, bits_of, planes)
                     shown = fails
                 except PositroidError as err:
                     # an invalid value built by a routine under test fails the instance, not the sweep
@@ -429,9 +420,12 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     the degenerate conventions.  A `PositroidError` raised while checking an
     instance fails that instance under the tag `raised`, and the sweep goes
     on; one raised by a permutation's own checks (necklace, round trip,
-    family) fails that permutation the same way and skips its instances.  jobs > 1 splits the sweep across processes; results are merged
-    deterministically.
+    family) fails that permutation the same way and skips its instances.
+
+    jobs > 1 splits the sweep across processes; results are merged
+    deterministically.  Every argument is checked before any work starts.
     """
+    _check_enumerable(n)
     kinds = frozenset(kinds)
     if not kinds or not kinds <= BOTH_KINDS:
         raise ValidationError("kinds must be a nonempty subset of {contraction, restriction}")
@@ -443,7 +437,6 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
         parts = [_sweep(n, kind_values, 1, 0)]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         # jobs stays the stride, so the partition and the merged report do
         # not depend on how many workers actually run it

@@ -29,9 +29,11 @@ from positroids import (
     parse_bases,
     parse_necklace,
     parse_perm,
+    parse_subset,
     perm_of,
     perm_to_obj,
     validate_necklace,
+    verify_all,
 )
 from positroids import core
 from positroids.minors import contract_necklace
@@ -110,6 +112,33 @@ class TestSubset:
             Subset.of(65, [1])
         with pytest.raises(ValidationError):
             Subset.of(3, [1]) - Subset.of(4, [1])
+
+
+# every public entry point that takes a ground set size, built at size n
+GROUND_SET_TAKERS = {
+    "Subset": lambda n: Subset(n, 1),
+    "Subset.of": lambda n: Subset.of(n, [1]),
+    "Subset.empty": Subset.empty,
+    "Subset.full": Subset.full,
+    "BasisFamily": lambda n: BasisFamily(n, 1, frozenset()),
+    "BasisFamily.of": lambda n: BasisFamily.of(n, [[1]]),
+    "DecoratedPermutation.identity": DecoratedPermutation.identity,
+    "parse_subset": lambda n: parse_subset("1", n),
+    "parse_bases": lambda n: parse_bases("1", n),
+    "enumerate_decorated_perms": lambda n: next(enumerate_decorated_perms(n)),
+    "verify_all": verify_all,
+}
+
+
+@pytest.mark.parametrize("name", GROUND_SET_TAKERS)
+def test_a_bool_ground_set_size_is_rejected(name):
+    # True == 1, but it once came out as `Subset.of(True, [1])` and `"n": true`
+    build = GROUND_SET_TAKERS[name]
+    for n in (True, False):
+        with pytest.raises(ValidationError) as err:
+            build(n)
+        assert str(err.value) == f"ground set size must be a positive integer, got {n!r}"
+    build(1)
 
 
 class TestDecoratedPermutation:

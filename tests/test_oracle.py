@@ -192,7 +192,22 @@ class TestVerifyAll:
             "check_failures", "first_failure", "elapsed",
         }
 
-    def test_bad_arguments(self):
+    def test_bad_arguments(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for bad arguments")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for n, message in (
+            (2.0, "ground set size must be a positive integer, got 2.0"),
+            ("3", "ground set size must be a positive integer, got '3'"),
+            (True, "ground set size must be a positive integer, got True"),
+            (0, "ground set size must be a positive integer, got 0"),
+            (11, "n=11 exceeds the enumeration cap of 10"),
+        ):
+            for jobs in (1, 2):
+                with pytest.raises(ValidationError) as err:
+                    verify_all(n, jobs=jobs)
+                assert str(err.value) == message
         with pytest.raises(ValidationError):
             verify_all(2, kinds=set())
         with pytest.raises(ValidationError):
@@ -202,26 +217,43 @@ class TestVerifyAll:
                 verify_all(2, jobs=jobs)
 
 
+def spy_on_memos(monkeypatch, record):
+    """Hand every memo the sweep builds with `oracle.lru_cache` to record."""
+    real = positroids.oracle.lru_cache
+
+    def lru_cache(*args, **kwargs):
+        decorate = real(*args, **kwargs)
+
+        def wrap(fn):
+            memo = decorate(fn)
+            record(memo)
+            return memo
+
+        return wrap
+
+    monkeypatch.setattr(positroids.oracle, "lru_cache", lru_cache)
+
+
 class TestBasesMemo:
     """The per-sweep bases memo answers exactly as bases_of and hides nothing."""
 
-    def test_matches_bases_of_on_miss_and_hit(self):
-        memo = positroids.oracle._BasesMemo()
-        for p in enumerate_decorated_perms(4):
-            necklace = necklace_of(p)
-            expected = to_bits(bases_of(necklace))
-            assert memo(necklace) == expected  # miss
-            assert memo(necklace) == expected  # hit
+    def test_family_bits_match_bases_of(self):
+        for n in range(1, 5):
+            for p in enumerate_decorated_perms(n):
+                necklace = necklace_of(p)
+                assert positroids.oracle._family_bits(necklace.masks) == to_bits(bases_of(necklace))
 
-    def test_clears_when_full(self, monkeypatch):
+    def test_cap_bounds_the_memo(self, monkeypatch):
         monkeypatch.setattr(positroids.oracle, "BASES_MEMO_CAP", 3)
-        memo = positroids.oracle._BasesMemo()
-        for p in enumerate_decorated_perms(3):
-            necklace = necklace_of(p)
-            assert memo(necklace) == to_bits(bases_of(necklace))
-            assert len(memo.families) <= 3
+        memos = []
+        spy_on_memos(monkeypatch, memos.append)
         report = verify_all(4)
         assert (report.instances_checked, report.degenerate_skipped, report.mismatches) == (392, 128, 0)
+        assert len(memos) == 1
+        info = memos[0].cache_info()
+        assert info.maxsize == 3 and info.currsize == 3
+        # more misses than the 65 necklaces of n = 4: evicted families were looked up again
+        assert info.misses > 65
 
     @pytest.mark.parametrize("op", ["contract", "restrict"])
     def test_wrong_minor_is_reported(self, monkeypatch, op):
@@ -246,20 +278,14 @@ class TestBasesMemo:
 
     def test_memo_does_not_outlive_the_sweep(self, monkeypatch):
         made = []
-
-        class Recorded(positroids.oracle._BasesMemo):
-            def __init__(self):
-                super().__init__()
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(positroids.oracle, "_BasesMemo", Recorded)
+        spy_on_memos(monkeypatch, lambda memo: made.append(weakref.ref(memo)))
         report = verify_all(4)
         assert report.mismatches == 0
         gc.collect()
         assert made and all(ref() is None for ref in made)
 
 
-def assert_bits_match_the_set_oracle(family, memo):
+def assert_bits_match_the_set_oracle(family):
     """The sweep's bit helpers against the set-based public oracle."""
     n = family.n
     planes = positroids.oracle._element_planes(n)
@@ -270,9 +296,7 @@ def assert_bits_match_the_set_oracle(family, memo):
     necklace = oracle_necklace(family)
     minima = tuple(e.mask for e in necklace.entries)
     assert positroids.oracle._gale_minima(bits, planes) == minima
-    expected = to_bits(bases_of(necklace))
-    assert memo.of_masks(minima) == expected
-    assert memo(necklace) == expected
+    assert positroids.oracle._family_bits(minima) == to_bits(bases_of(necklace))
 
 
 # every (n, k) with n <= 4, and two more at n = 5 with 1,023 families each
@@ -298,9 +322,8 @@ class TestBitFamilies:
 
     @pytest.mark.parametrize("n, k", EXHAUSTIVE_SIZES)
     def test_every_equal_size_family(self, n, k):
-        memo = positroids.oracle._BasesMemo()
         for family in every_equal_size_family(n, k):
-            assert_bits_match_the_set_oracle(family, memo)
+            assert_bits_match_the_set_oracle(family)
 
     def test_empty_family_has_no_minima(self):
         for n in range(1, 5):
@@ -326,7 +349,7 @@ def equal_size_families(draw, max_n=10):
 @given(equal_size_families())
 @settings(max_examples=150, deadline=None)
 def test_bit_families_match_the_set_oracle(family):
-    assert_bits_match_the_set_oracle(family, positroids.oracle._BasesMemo())
+    assert_bits_match_the_set_oracle(family)
 
 
 def lex_least(family, t):
