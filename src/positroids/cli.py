@@ -1,9 +1,15 @@
-"""Command line front end for the positroid minor operations."""
+"""Command line front end for the positroid minor operations.
+
+Only `core` loads with this module.  A call is one short process, and where
+Python writes no bytecode cache each module it imports is compiled again, so
+each handler imports what it needs beyond `core` when it runs: `contract` and
+`restrict` load `minors`, `is-positroid` and `verify` load `oracle`, and
+`--format json` loads `json`.  `necklace`, `perm` and `bases` load none of them.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import (
@@ -22,8 +28,6 @@ from .core import (
     perm_of,
     perm_to_obj,
 )
-from .minors import MinorKind, apply_minor, render_trace, trace_minor, trace_to_obj
-from .oracle import BOTH_KINDS, ENUMERATION_CAP, check_matroid, is_positroid, verify_all
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +48,7 @@ def _read_arg(value: str) -> str:
 
 def _emit(args, obj, text: str) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(obj, indent=2))
     else:
         print(text)
@@ -71,7 +76,10 @@ def _cmd_bases(args) -> int:
     return 0
 
 
-def _cmd_minor(args, kind: MinorKind) -> int:
+def _cmd_minor(args, kind: str) -> int:
+    from .minors import MinorKind, apply_minor, render_trace, trace_minor, trace_to_obj
+
+    kind = MinorKind(kind)
     p = parse_perm(_read_arg(args.perm))
     what = "contracting" if kind is MinorKind.CONTRACTION else "deleting"
     steps = []
@@ -93,6 +101,7 @@ def _cmd_minor(args, kind: MinorKind) -> int:
         steps.append({"j": j, "degenerate": outcome.degenerate})
         p = outcome.perm
     if args.format == "json":
+        import json
         obj = {"result": perm_to_obj(p), "steps": steps}
         if args.trace:
             obj["traces"] = [trace_to_obj(t) for t in traces]
@@ -106,6 +115,8 @@ def _cmd_minor(args, kind: MinorKind) -> int:
 
 
 def _cmd_is_positroid(args) -> int:
+    from .oracle import check_matroid, is_positroid
+
     family = parse_bases(_read_arg(args.bases), args.n)
     positroid = is_positroid(family)
     matroid = check_matroid(family)
@@ -116,6 +127,9 @@ def _cmd_is_positroid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .minors import MinorKind
+    from .oracle import BOTH_KINDS, ENUMERATION_CAP, verify_all
+
     if not 1 <= args.max_n <= ENUMERATION_CAP:
         raise ValidationError(f"--max-n must be between 1 and {ENUMERATION_CAP}")
     if args.kind == "both":
@@ -134,6 +148,7 @@ def _cmd_verify(args) -> int:
         if report.mismatches:
             failed = True
     if args.format == "json":
+        import json
         print(json.dumps([r.to_obj() for r in reports], indent=2))
     return 2 if failed else 0
 
@@ -176,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bases.set_defaults(handler=_cmd_bases, perm=None, necklace=None)
 
     for name, kind, blurb in (
-        ("contract", MinorKind.CONTRACTION, "contract elements of a positroid"),
-        ("restrict", MinorKind.RESTRICTION, "delete elements of a positroid"),
+        ("contract", "contraction", "contract elements of a positroid"),
+        ("restrict", "restriction", "delete elements of a positroid"),
     ):
         p_minor = sub.add_parser(name, parents=[shared], help=blurb)
         p_minor.add_argument("--perm", required=True, help="decorated permutation")

@@ -135,8 +135,9 @@ class Subset:
 
     def __post_init__(self):
         _check_n(self.n)
-        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> self.n:
-            raise ValidationError(f"mask {self.mask!r} does not fit in a {self.n}-element ground set")
+        mask = self.mask
+        if mask.__class__ is bool or not isinstance(mask, int) or mask < 0 or mask >> self.n:
+            raise ValidationError(f"mask {mask!r} does not fit in a {self.n}-element ground set")
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
@@ -336,7 +337,7 @@ class DecoratedPermutation:
                 raise ValidationError(f"color entry {pos} is given for {i!r}, a bool, not a fixed point")
             if i not in fixed:
                 raise ValidationError(f"color given for {i}, which is not a fixed point")
-            if c.__class__ is bool or c not in (-1, 1):
+            if c.__class__ is bool or not isinstance(c, int) or c not in (-1, 1):
                 raise ValidationError(f"color of {i} must be +1 or -1, got {c!r}")
         listed = tuple([i for i, _ in colors])
         if listed != fixed:
@@ -358,7 +359,7 @@ class DecoratedPermutation:
     @classmethod
     def identity(cls, n: int, color: int = 1) -> "DecoratedPermutation":
         _check_n(n)
-        if color.__class__ is bool or color not in (-1, 1):
+        if color.__class__ is bool or not isinstance(color, int) or color not in (-1, 1):
             raise ValidationError(f"color of 1 must be +1 or -1, got {color!r}")
         return _perm(tuple(range(1, n + 1)), tuple((i, color) for i in range(1, n + 1)))
 
@@ -388,7 +389,7 @@ class DecoratedPermutation:
         raise ValidationError(f"{i} is not a fixed point")
 
     def with_color(self, i: int, color: int) -> "DecoratedPermutation":
-        if color.__class__ is bool or color not in (-1, 1):
+        if color.__class__ is bool or not isinstance(color, int) or color not in (-1, 1):
             raise ValidationError(f"color must be +1 or -1, got {color!r}")
         self.color(i)  # raises when i is not fixed
         return _perm(self.images, tuple((j, color if j == i else c) for j, c in self.colors))
@@ -657,7 +658,7 @@ class BasisFamily:
     def __post_init__(self):
         n, k = self.n, self.k
         _check_n(n)
-        if not isinstance(k, int) or not 0 <= k <= n:
+        if k.__class__ is bool or not isinstance(k, int) or not 0 <= k <= n:
             raise ValidationError(f"rank {k!r} out of range for n={n}")
         for b in self.bases:
             if not isinstance(b, Subset):

@@ -140,7 +140,7 @@ def test_verify_mismatch_exits_2(monkeypatch, capsys):
         n=1, kind="both", instances_checked=1, degenerate_skipped=0, mismatches=1,
         check_failures={"oracle": 1}, first_failure="stub", elapsed=0.0,
     )
-    monkeypatch.setattr("positroids.cli.verify_all", lambda *a, **k: stub)
+    monkeypatch.setattr("positroids.oracle.verify_all", lambda *a, **k: stub)
     assert run(["verify", "--max-n", "1"]) == 2
     assert "FAIL" in out_of(capsys)
 

@@ -113,6 +113,30 @@ class TestSubset:
         with pytest.raises(ValidationError):
             Subset.of(3, [1]) - Subset.of(4, [1])
 
+    def test_rejects_a_bool_mask(self):
+        # True == 1, but Subset(3, True) once kept `mask` True
+        for mask in (True, False):
+            with pytest.raises(ValidationError) as err:
+                Subset(3, mask)
+            assert str(err.value) == f"mask {mask!r} does not fit in a 3-element ground set"
+        assert Subset(3, 1) == Subset.of(3, [1])
+
+
+class TestBasisFamily:
+    def test_rejects_a_bool_rank(self):
+        # True == 1, but BasisFamily.empty(2, True) once gave bases_to_obj's `"k": true`
+        builds = (
+            lambda k: BasisFamily(2, k, frozenset()),
+            lambda k: BasisFamily(2, k, frozenset({Subset.of(2, [1])})),
+            lambda k: BasisFamily.empty(2, k),
+        )
+        for build in builds:
+            for k in (True, False):
+                with pytest.raises(ValidationError) as err:
+                    build(k)
+                assert str(err.value) == f"rank {k!r} out of range for n=2"
+        assert bases_to_obj(BasisFamily.empty(2, 1))["k"] == 1
+
 
 # every public entry point that takes a ground set size, built at size n
 GROUND_SET_TAKERS = {
@@ -216,6 +240,19 @@ class TestDecoratedPermutation:
         assert format_perm(DecoratedPermutation.of((2, 1), {})) == "2,1"
         with pytest.raises(ValidationError, match=r"^image at position 1 1\.0 is out of range 1\.\.2$"):
             DecoratedPermutation((1.0, 2), ())
+
+    def test_rejects_float_colors(self):
+        # -1.0 == -1, but a float color once reached perm_to_obj as `"col": {"1": 1.0}`
+        for build, message in (
+            (lambda: DecoratedPermutation.identity(2, 1.0), "color of 1 must be +1 or -1, got 1.0"),
+            (lambda: DecoratedPermutation.of((2, 1, 3), {3: -1.0}), "color of 3 must be +1 or -1, got -1.0"),
+            (lambda: DecoratedPermutation((2, 1, 3), ((3, -1.0),)), "color of 3 must be +1 or -1, got -1.0"),
+            (lambda: parse_perm("1+,3,2").with_color(1, -1.0), "color must be +1 or -1, got -1.0"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == message
+        assert perm_to_obj(parse_perm("1+,3,2").with_color(1, -1))["col"] == {"1": -1}
 
     def test_identity_validates(self):
         with pytest.raises(ValidationError, match="color of 1 must be"):
