@@ -290,8 +290,9 @@ def in_cyclic_interval(x: int, a: int, b: int, n: int) -> bool:
     Reading clockwise from a, the interval collects everything after a and
     before b.  Endpoints a and b must differ.
     """
-    if not (1 <= x <= n and 1 <= a <= n and 1 <= b <= n):
-        raise ValidationError(f"element {x!r} and endpoints {a!r}, {b!r} must lie in 1..{n}")
+    _check_n(n)
+    for v, what in ((x, "element"), (a, "left endpoint"), (b, "right endpoint")):
+        _check_element(v, n, what)
     if a == b:
         raise ValidationError("open cyclic interval needs distinct endpoints")
     return x != a and (x - a) % n < (b - a) % n
@@ -548,6 +549,8 @@ def validate_necklace(entries: Sequence[Subset]) -> GrassmannNecklace:
 
 def necklace_step(entry: Subset, i: int, image: int) -> Subset:
     """Successor entry under the step rule when the permutation sends i to image."""
+    _check_element(i, entry.n)
+    _check_element(image, entry.n, "image")
     if i not in entry:
         return entry
     return entry.discard(i).add(image)

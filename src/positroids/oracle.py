@@ -11,15 +11,11 @@ the sweep a family is a bit vector of 2^n bits instead, one int whose bit m
 is set when the subset with mask m is a basis, so that minors, Gale minima
 and family equality are a few big-int operations each; the set-based public
 functions are the reference the bit helpers are tested against.  Each sweep
-memoises `bases_of` as bits in a `functools.lru_cache` of at most
-BASES_MEMO_CAP families, freed when the sweep returns.
+builds the Schubert cells of every mask from every start once, n * 2^n bit
+vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 
-`check_matroid` numbers the bases instead and keeps one witness plane per
-element, an int with one bit per basis that is set when the basis avoids
-the element.  Basis exchange for a basis A and x in A then narrows the plane
-of x by the planes of the y that fix A-x+y, so it needs no 2^n-bit vector
-and no scan of every pair of bases, and works at every n up to 64; its
-answer is the pairwise statement's (see its docstring).
+`check_matroid` numbers the bases instead and tests basis exchange on one
+witness plane per element, with no 2^n-bit vector, at every n up to 64.
 """
 
 from __future__ import annotations
@@ -27,8 +23,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial, reduce
 from itertools import permutations, product
+from operator import and_
 
 from .core import (
     BasisFamily,
@@ -59,13 +56,6 @@ from .minors import (
 )
 
 ENUMERATION_CAP = 10
-
-# Families each sweep's least-recently-used bases memo holds: every necklace
-# of n = 7 fits (13,700 decorated permutations), so below n = 8 nothing is
-# evicted.  An entry is one int of 2^n / 8 bytes plus its key tuple of n
-# masks, the cache's link node and dict slot: about 0.28 KB at n = 7 and
-# 0.62 KB at n = 10, so a full memo takes about 4.4 MB and at most 10 MB.
-BASES_MEMO_CAP = 1 << 14
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
 
@@ -269,9 +259,8 @@ def _gale_minima(bits, planes):
     """
     if not bits:
         return None
-    n = len(planes)
     minima = []
-    for t in range(n):
+    for t in range(len(planes)):
         cand = bits
         for plane in planes[t:] + planes[:t]:
             hit = cand & plane
@@ -281,17 +270,17 @@ def _gale_minima(bits, planes):
     return tuple(minima)
 
 
-def _verify_instance(p, necklace, family, j, kind, bits_of, planes):
+def _verify_instance(p, necklace, family, j, kind, uppers, planes):
     """Run every oracle comparison for one (perm, j, kind) instance.
 
     Returns (degenerate, failure tags).  Degenerate instances only assert
     the identity convention; everything else is checked against the brute
     force route and the structural expectations (j becomes a loop, rank
     drops by one under contraction and holds under restriction).  `family`
-    is p's basis family as a bit vector, `bits_of` the sweep's memoised
-    `_family_bits` and `planes` the sweep's element planes.  The per-kind
-    routines and the bit helpers are looked up when called, so a patched
-    module binding is the one checked.
+    is p's basis family as a bit vector, `uppers` the sweep's table of
+    Schubert cells for `_family_bits` and `planes` its element planes.  The
+    per-kind routines and the bit helpers are looked up when called, so a
+    patched module binding is the one checked.
     """
     failures = []
     n, k = necklace.n, necklace.k
@@ -309,7 +298,7 @@ def _verify_instance(p, necklace, family, j, kind, bits_of, planes):
     else:
         oracle_family = kept = _delete_bits(family, planes, j)
     result_necklace = necklace_of(result)
-    if bits_of(result_necklace.masks) != oracle_family:
+    if _family_bits(uppers, result_necklace.masks) != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
     kept_minima = _gale_minima(kept, planes)
@@ -333,31 +322,49 @@ def _verify_instance(p, necklace, family, j, kind, bits_of, planes):
         failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
     # positroid closure: the oracle family is cut out by its own Gale minima
     minima = _gale_minima(oracle_family, planes) if contracting else kept_minima
-    if minima is None or bits_of(minima) != oracle_family:
+    if minima is None or _family_bits(uppers, minima) != oracle_family:
         failures.append("closure")
     if loop_coloop_status(result, j) != "loop" or result_necklace.k != (k - 1 if contracting else k):
         failures.append("structure")
     return False, failures
 
 
-def _family_bits(masks):
-    """bases_of, as a bit vector, of the necklace with these entry masks.
+def _schubert_cells(n):
+    """uppers[t][m]: the masks of |m| members Gale-above m from t + 1, as bits.
 
-    A basis is a k-subset Gale-above every entry, so the family depends on
-    the entry masks alone; `_sweep` memoises this per call.
+    Read from t + 1, m is s: bit i of s is element t + 1 + i (mod n).  Above
+    s lie s and all above its covers s + 2^i (member i moved up to a free
+    i + 1 < n); covers are larger, so their cells are made first.
     """
-    return sum(1 << h.mask for h in bases_of(_necklace(masks)).bases)
+    full = (1 << n) - 1
+    uppers = []
+    for t in range(n):
+        cells, row = [0] * (full + 1), [0] * (full + 1)
+        for s in range(full, -1, -1):
+            m = (s << t | s >> (n - t)) & full
+            cell = 1 << m
+            for i in range(n - 1):
+                if s >> i & 3 == 1:
+                    cell |= cells[s + (1 << i)]
+            cells[s] = row[m] = cell
+        uppers.append(row)
+    return uppers
+
+
+def _family_bits(uppers, masks):
+    """bases_of, as bits, of these entry masks: the AND of the entries' cells.
+
+    A basis is Gale-above every entry from its start, so it is in each cell.
+    """
+    return reduce(and_, [row[mask] for row, mask in zip(uppers, masks)])
 
 
 def _sweep(n, kind_values, stride, offset):
     """One worker's share of the sweep: perms whose index hits the offset."""
     kinds = sorted((MinorKind(v) for v in kind_values), key=lambda kk: kk.value)
-    instances = 0
-    degenerate = 0
-    mismatches = 0
+    instances = degenerate = mismatches = 0
     check_failures: dict[str, int] = {}
-    first_key = None
-    first_msg = None
+    first_key = first_msg = None
 
     def record(key, msg, tags):
         nonlocal mismatches, first_key, first_msg
@@ -365,9 +372,8 @@ def _sweep(n, kind_values, stride, offset):
         for tag in tags:
             check_failures[tag] = check_failures.get(tag, 0) + 1
         if first_key is None or key < first_key:
-            first_key = key
-            first_msg = msg
-    bits_of = lru_cache(maxsize=BASES_MEMO_CAP)(_family_bits)
+            first_key, first_msg = key, msg
+    uppers = _schubert_cells(n)
     planes = _element_planes(n)
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
@@ -376,7 +382,7 @@ def _sweep(n, kind_values, stride, offset):
             necklace = necklace_of(p)
             if perm_of(necklace) != p:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
-            family = bits_of(necklace.masks)
+            family = _family_bits(uppers, necklace.masks)
             if _gale_minima(family, planes) != necklace.masks:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
         except PositroidError as err:
@@ -386,7 +392,7 @@ def _sweep(n, kind_values, stride, offset):
         for j in range(1, n + 1):
             for kind in kinds:
                 try:
-                    skipped, fails = _verify_instance(p, necklace, family, j, kind, bits_of, planes)
+                    skipped, fails = _verify_instance(p, necklace, family, j, kind, uppers, planes)
                     shown = fails
                 except PositroidError as err:
                     # an invalid value built by a routine under test fails the instance, not the sweep
@@ -396,19 +402,12 @@ def _sweep(n, kind_values, stride, offset):
                 else:
                     instances += 1
                 if fails:
-                    record(
-                        (idx, j, kind.value),
-                        f"n={n} perm={format_perm(p)} j={j} kind={kind.value}: {', '.join(shown)}",
-                        fails,
-                    )
-    return {
-        "instances": instances,
-        "degenerate": degenerate,
-        "mismatches": mismatches,
-        "check_failures": check_failures,
-        "first_key": first_key,
-        "first_msg": first_msg,
-    }
+                    where = f"n={n} perm={format_perm(p)} j={j} kind={kind.value}"
+                    record((idx, j, kind.value), f"{where}: {', '.join(shown)}", fails)
+    return dict(
+        instances=instances, degenerate=degenerate, mismatches=mismatches,
+        check_failures=check_failures, first_key=first_key, first_msg=first_msg,
+    )
 
 
 def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:

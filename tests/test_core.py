@@ -322,6 +322,10 @@ class TestBijection:
         validate_necklace(necklace.entries)
         for i in range(1, 6):
             assert necklace_step(necklace.entry(i), i, p.image(i)) == necklace.entry(i + 1)
+        # an i or image outside 1..n is rejected whether or not i is in the entry
+        for i, image in ((99, 2), (2, 99), (1, 99), (0, 2), (2, 0), (1.0, 2)):
+            with pytest.raises(ValidationError):
+                necklace_step(Subset.of(3, [1]), i, image)
 
 
 # Candidate necklaces as (ground set size, members of each entry), read by

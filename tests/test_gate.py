@@ -13,7 +13,7 @@ import positroids.core
 import positroids.minors
 import positroids.oracle
 from positroids import DecoratedPermutation, dual, verify_all
-from positroids.core import ValidationError, _family, _necklace
+from positroids.core import ValidationError, _necklace
 
 
 def contract_stopping_early(real):
@@ -137,15 +137,14 @@ def perm_of_rejecting_all_fixed_points(real):
     return perm_of
 
 
-def bases_of_dropping_one(real):
+def family_bits_dropping_one(real):
     # the lowest basis of every family with more than one
-    def bases_of(necklace):
-        family = real(necklace)
-        if len(family) < 2:
-            return family
-        return _family(family.n, family.k, family.bases - {min(family.bases, key=lambda h: h.mask)})
+    def family_bits(uppers, masks):
+        bits = real(uppers, masks)
+        rest = bits & (bits - 1)
+        return rest if rest else bits
 
-    return bases_of
+    return family_bits
 
 
 def bit_deletion_dropping_one(real):
@@ -237,7 +236,7 @@ GATE = [
         id="perm-of-raises",
     ),
     pytest.param(
-        "bases_of", bases_of_dropping_one,
+        "_family_bits", family_bits_dropping_one,
         {"min-recovery": 49, "necklace-formula": 196, "oracle": 112, "closure": 148},
         "perm=1-,2-,4,3: min-recovery",
         id="bases-of-drops-one-basis",

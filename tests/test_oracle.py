@@ -1,8 +1,6 @@
 """Brute-force minors, recognition, enumeration, and the sweep verifier."""
 
 import concurrent.futures
-import gc
-import weakref
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -22,6 +20,7 @@ from positroids import (
     check_matroid,
     enumerate_decorated_perms,
     format_perm,
+    gale_leq,
     is_positroid,
     necklace_of,
     oracle_contract,
@@ -217,48 +216,21 @@ class TestVerifyAll:
                 verify_all(2, jobs=jobs)
 
 
-def spy_on_memos(monkeypatch, record):
-    """Hand every memo the sweep builds with `oracle.lru_cache` to record."""
-    real = positroids.oracle.lru_cache
-
-    def lru_cache(*args, **kwargs):
-        decorate = real(*args, **kwargs)
-
-        def wrap(fn):
-            memo = decorate(fn)
-            record(memo)
-            return memo
-
-        return wrap
-
-    monkeypatch.setattr(positroids.oracle, "lru_cache", lru_cache)
-
-
 class TestBasesMemo:
-    """The per-sweep bases memo answers exactly as bases_of and hides nothing."""
+    """The sweep's table of Schubert cells answers exactly as bases_of and hides nothing."""
 
     def test_family_bits_match_bases_of(self):
-        for n in range(1, 5):
+        # every necklace of n <= 7, 13,700 of them at n = 7
+        for n in range(1, 8):
+            uppers = positroids.oracle._schubert_cells(n)
             for p in enumerate_decorated_perms(n):
                 necklace = necklace_of(p)
-                assert positroids.oracle._family_bits(necklace.masks) == to_bits(bases_of(necklace))
-
-    def test_cap_bounds_the_memo(self, monkeypatch):
-        monkeypatch.setattr(positroids.oracle, "BASES_MEMO_CAP", 3)
-        memos = []
-        spy_on_memos(monkeypatch, memos.append)
-        report = verify_all(4)
-        assert (report.instances_checked, report.degenerate_skipped, report.mismatches) == (392, 128, 0)
-        assert len(memos) == 1
-        info = memos[0].cache_info()
-        assert info.maxsize == 3 and info.currsize == 3
-        # more misses than the 65 necklaces of n = 4: evicted families were looked up again
-        assert info.misses > 65
+                assert positroids.oracle._family_bits(uppers, necklace.masks) == to_bits(bases_of(necklace))
 
     @pytest.mark.parametrize("op", ["contract", "restrict"])
     def test_wrong_minor_is_reported(self, monkeypatch, op):
-        # The last permutation of n = 4, after every necklace of n = 4 has
-        # gone through the memo, so the wrong result's bases come from a hit.
+        # The last permutation of n = 4, so the wrong result's bases come from
+        # cells that every earlier necklace of n = 4 has read already.
         target, j = parse_perm("4,3,2,1"), 2
         real = getattr(positroids.oracle, op)
 
@@ -276,14 +248,6 @@ class TestBasesMemo:
         assert report.first_failure.startswith(f"n=4 perm=4,3,2,1 j=2 kind={kind}: ")
         assert "oracle" in report.first_failure.split(": ", 1)[1].split(", ")
 
-    def test_memo_does_not_outlive_the_sweep(self, monkeypatch):
-        made = []
-        spy_on_memos(monkeypatch, lambda memo: made.append(weakref.ref(memo)))
-        report = verify_all(4)
-        assert report.mismatches == 0
-        gc.collect()
-        assert made and all(ref() is None for ref in made)
-
 
 def assert_bits_match_the_set_oracle(family):
     """The sweep's bit helpers against the set-based public oracle."""
@@ -296,7 +260,8 @@ def assert_bits_match_the_set_oracle(family):
     necklace = oracle_necklace(family)
     minima = tuple(e.mask for e in necklace.entries)
     assert positroids.oracle._gale_minima(bits, planes) == minima
-    assert positroids.oracle._family_bits(minima) == to_bits(bases_of(necklace))
+    uppers = positroids.oracle._schubert_cells(n)
+    assert positroids.oracle._family_bits(uppers, minima) == to_bits(bases_of(necklace))
 
 
 # every (n, k) with n <= 4, and two more at n = 5 with 1,023 families each
@@ -319,6 +284,15 @@ class TestBitFamilies:
         assert len(planes) == n
         for e, plane in enumerate(planes, start=1):
             assert plane == sum(1 << m for m in range(1 << n) if m >> (e - 1) & 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_schubert_cells(self, n):
+        uppers = positroids.oracle._schubert_cells(n)
+        subsets = [Subset(n, m) for m in range(1 << n)]
+        for t, row in enumerate(uppers, start=1):
+            for a in subsets:
+                above = (b for b in subsets if len(b) == len(a) and gale_leq(a, b, t))
+                assert row[a.mask] == sum(1 << b.mask for b in above)
 
     @pytest.mark.parametrize("n, k", EXHAUSTIVE_SIZES)
     def test_every_equal_size_family(self, n, k):

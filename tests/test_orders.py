@@ -207,3 +207,7 @@ def test_in_cyclic_interval_rejects_out_of_range_operands():
         in_cyclic_interval(2, 1, 5, 4)
     with pytest.raises(ValidationError):
         in_cyclic_interval(1, 1, 2, 0)
+    # a non-integer operand, and an n above the cap, as cyclic_lt rejects them
+    for args in ((1.5, 1, 3, 4), (2, 1.0, 3, 4), (2, 1, "3", 4), (1, 2, 3, 70), (1, 2, 3, 4.0)):
+        with pytest.raises(ValidationError):
+            in_cyclic_interval(*args)
