@@ -46,11 +46,12 @@ def _read_arg(value: str) -> str:
     return value
 
 
-def _emit(args, obj, text: str) -> None:
+def _emit(args, obj, text: str | None) -> None:
+    """Print obj as JSON under --format json, otherwise text unless it is None."""
     if args.format == "json":
         import json
         print(json.dumps(obj, indent=2))
-    else:
+    elif text is not None:
         print(text)
 
 
@@ -100,17 +101,11 @@ def _cmd_minor(args, kind: str) -> int:
                 traces.append(trace_minor(p, j, kind))
         steps.append({"j": j, "degenerate": outcome.degenerate})
         p = outcome.perm
-    if args.format == "json":
-        import json
-        obj = {"result": perm_to_obj(p), "steps": steps}
-        if args.trace:
-            obj["traces"] = [trace_to_obj(t) for t in traces]
-        print(json.dumps(obj, indent=2))
-    else:
-        for t in traces:
-            print(render_trace(t))
-            print()
-        print(format_perm(p))
+    obj = {"result": perm_to_obj(p), "steps": steps}
+    if args.trace:
+        obj["traces"] = [trace_to_obj(t) for t in traces]
+    # each trace is followed by a blank line, then the permutation
+    _emit(args, obj, "\n\n".join([*map(render_trace, traces), format_perm(p)]))
     return 0
 
 
@@ -147,9 +142,8 @@ def _cmd_verify(args) -> int:
                 print(f"  first failure: {report.first_failure}")
         if report.mismatches:
             failed = True
-    if args.format == "json":
-        import json
-        print(json.dumps([r.to_obj() for r in reports], indent=2))
+    # the text lines went out as each n finished
+    _emit(args, [r.to_obj() for r in reports], None)
     return 2 if failed else 0
 
 

@@ -14,16 +14,15 @@ from a necklace via Gale bounds.  Everything is an immutable value and every
 function is pure.  Ground sets are capped at 64 elements so subsets fit in a
 single machine word.
 
-Validation happens once, at the boundary: the public constructors
-(`Subset(...)`, `DecoratedPermutation(...)`, `GrassmannNecklace(...)`,
-`BasisFamily(...)` and their `of`/`identity`/`empty` builders), the parsers
-and the public functions check what they are given.  Values the library
-builds from values already checked are made with the private `_subset`,
-`_perm`, `_necklace` and `_family`, which skip the checks, and the hot loops
-and the checks themselves read masks and image tuples directly.  One
-exception: `oracle.oracle_necklace` returns the Gale minima of any family
-unchecked, and for a family that is not a matroid they need not form a
-Grassmann necklace.
+Validation happens once, at the boundary: the public constructors and their
+builders, the parsers and the public functions check what they are given, each
+input rule through its one checker (`_check_count`, `_check_element`,
+`_check_color`).  Values built from values already checked are made with the
+private `_subset`, `_perm`, `_necklace` and `_family`, which skip the checks,
+and the hot loops and the checks themselves read masks and image tuples
+directly.  One exception: `oracle.oracle_necklace` returns the Gale minima of
+any family unchecked, and for a family that is not a matroid they need not
+form a Grassmann necklace.
 
 A necklace holds the masks of its entries, one int each, and `_necklace`
 takes those masks.  Its `Subset` entries are built only when a caller reads
@@ -91,17 +90,33 @@ class InvalidNecklaceError(ValidationError):
         super().__init__(f"not a Grassmann necklace: {lines}")
 
 
-def _check_n(n: int) -> None:
+def _check_count(x: int, what: str = "ground set size", cap: int | None = MAX_GROUND_SET) -> None:
+    """Check x, a count: a positive int, not a bool, and at most cap unless that is None."""
     # a plain int passes the class test as cheaply as isinstance; a bool does not
-    if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)) or n < 1:
-        raise ValidationError(f"ground set size must be a positive integer, got {n!r}")
-    if n > MAX_GROUND_SET:
-        raise ValidationError(f"ground set size {n} exceeds the cap of {MAX_GROUND_SET}")
+    if x.__class__ is not int and (x.__class__ is bool or not isinstance(x, int)) or x < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {x!r}")
+    if cap is not None and x > cap:
+        raise ValidationError(f"{what} {x} exceeds the cap of {cap}")
 
 
-def _check_element(i: int, n: int, what: str = "element") -> None:
+def _check_element(i: int, n: int, what: str = "element") -> int:
+    """i checked against 1..n, as a plain int: True is the element 1."""
     if not isinstance(i, int) or not 1 <= i <= n:
         raise ValidationError(f"{what} {i!r} is out of range 1..{n}")
+    return int(i)
+
+
+def _check_operands(n: int, *operands: tuple[int, str]) -> None:
+    _check_count(n)
+    for v, what in operands:
+        _check_element(v, n, what)
+
+
+def _check_color(c: int, i: int | None = None) -> None:
+    """Check c, the color of fixed point i (unnamed when None): +1 or -1, not a bool."""
+    if c.__class__ is bool or not isinstance(c, int) or c not in (-1, 1):
+        what = "color" if i is None else f"color of {i}"
+        raise ValidationError(f"{what} must be +1 or -1, got {c!r}")
 
 
 def succ(i: int, n: int) -> int:
@@ -120,9 +135,7 @@ def cyclic_lt(a: int, b: int, t: int, n: int) -> bool:
     The order reads t < t+1 < ... < n < 1 < ... < t-1, so every element is
     comparable and t is the minimum.
     """
-    _check_n(n)
-    for v, what in ((a, "left operand"), (b, "right operand"), (t, "start")):
-        _check_element(v, n, what)
+    _check_operands(n, (a, "left operand"), (b, "right operand"), (t, "start"))
     return (a - t) % n < (b - t) % n
 
 
@@ -134,19 +147,17 @@ class Subset:
     mask: int
 
     def __post_init__(self):
-        _check_n(self.n)
+        _check_count(self.n)
         mask = self.mask
         if mask.__class__ is bool or not isinstance(mask, int) or mask < 0 or mask >> self.n:
             raise ValidationError(f"mask {mask!r} does not fit in a {self.n}-element ground set")
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
-        _check_n(n)
+        _check_count(n)
         mask = 0
         for e in elements:
-            if not isinstance(e, int) or not 1 <= e <= n:
-                raise ValidationError(f"element {e!r} is out of range 1..{n}")
-            mask |= 1 << (e - 1)
+            mask |= 1 << (_check_element(e, n) - 1)
         return _subset(n, mask)
 
     @classmethod
@@ -155,7 +166,7 @@ class Subset:
 
     @classmethod
     def full(cls, n: int) -> "Subset":
-        _check_n(n)
+        _check_count(n)
         return cls(n, (1 << n) - 1)
 
     @property
@@ -173,12 +184,10 @@ class Subset:
         return iter(self.members)
 
     def add(self, e: int) -> "Subset":
-        _check_element(e, self.n)
-        return _subset(self.n, self.mask | 1 << (e - 1))
+        return _subset(self.n, self.mask | 1 << (_check_element(e, self.n) - 1))
 
     def discard(self, e: int) -> "Subset":
-        _check_element(e, self.n)
-        return _subset(self.n, self.mask & ~(1 << (e - 1)))
+        return _subset(self.n, self.mask & ~(1 << (_check_element(e, self.n) - 1)))
 
     def _same_ground(self, other: "Subset") -> None:
         if not isinstance(other, Subset):
@@ -290,9 +299,7 @@ def in_cyclic_interval(x: int, a: int, b: int, n: int) -> bool:
     Reading clockwise from a, the interval collects everything after a and
     before b.  Endpoints a and b must differ.
     """
-    _check_n(n)
-    for v, what in ((x, "element"), (a, "left endpoint"), (b, "right endpoint")):
-        _check_element(v, n, what)
+    _check_operands(n, (x, "element"), (a, "left endpoint"), (b, "right endpoint"))
     if a == b:
         raise ValidationError("open cyclic interval needs distinct endpoints")
     return x != a and (x - a) % n < (b - a) % n
@@ -315,7 +322,7 @@ class DecoratedPermutation:
         if not isinstance(images, tuple) or not isinstance(colors, tuple):
             raise ValidationError("images and colors must be tuples; DecoratedPermutation.of takes other forms")
         n = len(images)
-        _check_n(n)
+        _check_count(n)
         seen = set()
         fixed = []
         for pos, v in enumerate(images, start=1):
@@ -338,8 +345,7 @@ class DecoratedPermutation:
                 raise ValidationError(f"color entry {pos} is given for {i!r}, a bool, not a fixed point")
             if i not in fixed:
                 raise ValidationError(f"color given for {i}, which is not a fixed point")
-            if c.__class__ is bool or not isinstance(c, int) or c not in (-1, 1):
-                raise ValidationError(f"color of {i} must be +1 or -1, got {c!r}")
+            _check_color(c, i)
         listed = tuple([i for i, _ in colors])
         if listed != fixed:
             missing = set(fixed) - set(listed)
@@ -359,9 +365,8 @@ class DecoratedPermutation:
 
     @classmethod
     def identity(cls, n: int, color: int = 1) -> "DecoratedPermutation":
-        _check_n(n)
-        if color.__class__ is bool or not isinstance(color, int) or color not in (-1, 1):
-            raise ValidationError(f"color of 1 must be +1 or -1, got {color!r}")
+        _check_count(n)
+        _check_color(color, 1)
         return _perm(tuple(range(1, n + 1)), tuple((i, color) for i in range(1, n + 1)))
 
     @property
@@ -369,8 +374,7 @@ class DecoratedPermutation:
         return len(self.images)
 
     def image(self, i: int) -> int:
-        _check_element(i, self.n)
-        return self.images[i - 1]
+        return self.images[_check_element(i, self.n) - 1]
 
     def inverse(self) -> tuple[int, ...]:
         """One-line notation of the inverse permutation."""
@@ -390,8 +394,7 @@ class DecoratedPermutation:
         raise ValidationError(f"{i} is not a fixed point")
 
     def with_color(self, i: int, color: int) -> "DecoratedPermutation":
-        if color.__class__ is bool or not isinstance(color, int) or color not in (-1, 1):
-            raise ValidationError(f"color must be +1 or -1, got {color!r}")
+        _check_color(color)
         self.color(i)  # raises when i is not fixed
         return _perm(self.images, tuple((j, color if j == i else c) for j, c in self.colors))
 
@@ -414,8 +417,8 @@ def loop_coloop_status(p: DecoratedPermutation, i: int) -> str:
     Loops are +1 fixed points, coloops are -1 fixed points; everything else
     is in some basis but not all of them.
     """
-    _check_element(i, p.n)
-    if p.image(i) != i:
+    i = _check_element(i, p.n)
+    if p.images[i - 1] != i:
         return "neither"
     return "coloop" if p.color(i) == -1 else "loop"
 
@@ -660,7 +663,7 @@ class BasisFamily:
 
     def __post_init__(self):
         n, k = self.n, self.k
-        _check_n(n)
+        _check_count(n)
         if k.__class__ is bool or not isinstance(k, int) or not 0 <= k <= n:
             raise ValidationError(f"rank {k!r} out of range for n={n}")
         for b in self.bases:
@@ -673,7 +676,7 @@ class BasisFamily:
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
-        _check_n(n)
+        _check_count(n)
         collected = set()
         k = None
         for s in sets:
@@ -813,7 +816,7 @@ def _read_subset(text: str, s: str, n: int) -> Subset:
         return Subset.empty(n)
     mask = _token_mask(s)
     if mask >= 0:
-        _check_n(n)  # after the tokens: a non-integer entry is reported first
+        _check_count(n)  # after the tokens: a non-integer entry is reported first
         if not mask >> n:
             return _subset(n, mask)
     try:

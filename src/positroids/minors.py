@@ -14,9 +14,11 @@ permutation and negates every fixed-point color (core.dual).  The loops that
 contracting the dual creates come back as coloops (-1): restriction preserves
 rank, so a re-routed point must stay inside every basis.
 
-Degenerate inputs (contracting a loop, deleting a coloop) have no positroid
-minor of the expected rank on the same ground set; by convention they return
-the identity permutation with all fixed points colored +1, flagged degenerate.
+The fixed-j rule: at a fixed point j, a loop (+1) contracted or a coloop
+(-1) deleted is degenerate, with no positroid minor of the expected rank on
+the same ground set, and by convention gives the identity with all fixed
+points +1, flagged degenerate; at any other fixed j the minor is p with j
+colored +1, a loop.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import (
     _shifted_max,
     _shifted_min,
     dual,
+    format_necklace,
     format_perm,
     format_subset,
     necklace_of,
@@ -70,22 +73,21 @@ class CaseLabel(enum.Enum):
     R_C = "R-c"
 
 
-def _element(j: int, n: int) -> int:
-    """j checked against 1..n, as a plain int: True is the element 1, as in Subset.of."""
-    _check_element(j, n)
-    return int(j)
+def _require_minor(necklace: GrassmannNecklace, j: int, contracting: bool, *positions: int) -> int:
+    """j as a plain int, once the necklace minor at j is known to be defined.
 
-
-def _require_nonloop(necklace: GrassmannNecklace, j: int) -> None:
-    # j is a loop exactly when it is missing from its own entry
-    if not necklace.masks[j - 1] >> (j - 1) & 1:
+    j and then each position lie in 1..n, and j is not a loop (missing from
+    I_j) when contracting, nor a coloop (still in I_{j+1}) when restricting.
+    """
+    n = necklace.n
+    j = _check_element(j, n)
+    for a in positions:
+        _check_element(a, n)
+    if contracting and not necklace.masks[j - 1] >> (j - 1) & 1:
         raise PreconditionError(f"{j} is a loop; the contracted necklace is undefined")
-
-
-def _require_noncoloop(necklace: GrassmannNecklace, j: int) -> None:
-    # j is a coloop exactly when it survives into the entry after its own
-    if necklace.masks[j % necklace.n] >> (j - 1) & 1:
+    if not contracting and necklace.masks[j % n] >> (j - 1) & 1:
         raise PreconditionError(f"{j} is a coloop; the restricted necklace is undefined")
+    return j
 
 
 def _swaps(necklace: GrassmannNecklace, j: int, contracting: bool) -> list[int]:
@@ -121,10 +123,7 @@ def contraction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     otherwise it is the largest element of I_a minus I_j in the shifted
     order starting at a.  Requires j not a loop.
     """
-    j = _element(j, necklace.n)
-    _check_element(a, necklace.n)
-    _require_nonloop(necklace, j)
-    return _swaps(necklace, j, True)[a - 1]
+    return _swaps(necklace, _require_minor(necklace, j, True, a), True)[a - 1]
 
 
 def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
@@ -134,10 +133,7 @@ def restriction_swap(necklace: GrassmannNecklace, j: int, a: int) -> int:
     otherwise it is the smallest element of I_{j+1} minus I_a in the shifted
     order starting at a.  Requires j not a coloop.
     """
-    j = _element(j, necklace.n)
-    _check_element(a, necklace.n)
-    _require_noncoloop(necklace, j)
-    return _swaps(necklace, j, False)[a - 1]
+    return _swaps(necklace, _require_minor(necklace, j, False, a), False)[a - 1]
 
 
 def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -147,9 +143,7 @@ def contract_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     dropping j from each entry gives the necklace of the contracted matroid
     on the remaining elements.  Requires j not a loop.
     """
-    j = _element(j, necklace.n)
-    _require_nonloop(necklace, j)
-    return _minor(necklace, j, True)[1]
+    return _minor(necklace, _require_minor(necklace, j, True), True)[1]
 
 
 def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
@@ -158,9 +152,7 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
     The result lives on the same ground set with j in no entry; it is the
     necklace of the matroid with j deleted.  Requires j not a coloop.
     """
-    j = _element(j, necklace.n)
-    _require_noncoloop(necklace, j)
-    return _minor(necklace, j, False)[1]
+    return _minor(necklace, _require_minor(necklace, j, False), False)[1]
 
 
 def _check_kind(kind: MinorKind) -> None:
@@ -175,30 +167,34 @@ def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
     return {i: old.get(i, 1) for i in range(1, len(mu) + 1) if mu[i - 1] == i}
 
 
+def _degenerate(p: DecoratedPermutation, j: int, contracting: bool) -> bool:
+    # the fixed-j rule's bad color: +1 (a loop) contracting, -1 (a coloop) restricting
+    return p.images[j - 1] == j and p.color(j) == (1 if contracting else -1)
+
+
+def _fixed_minor(p: DecoratedPermutation, j: int, contracting: bool) -> DecoratedPermutation:
+    # the fixed-j rule: the identity when degenerate, else j recolored a loop
+    return DecoratedPermutation.identity(p.n, 1) if _degenerate(p, j, contracting) else p.with_color(j, 1)
+
+
 def is_degenerate(p: DecoratedPermutation, j: int, kind: MinorKind) -> bool:
     """True when the minor falls back to the identity convention."""
     _check_kind(kind)
-    if p.image(j) != j:
-        return False
-    bad = 1 if kind is MinorKind.CONTRACTION else -1
-    return p.color(j) == bad
+    return _degenerate(p, _check_element(j, p.n), kind is MinorKind.CONTRACTION)
 
 
 def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     """Contract element j of the positroid of p.
 
     The result lives on the same ground set with j turned into a loop; its
-    bases are the bases of p through j, with j removed.  Contracting a
-    coloop just recolors it.  Contracting a loop is degenerate and returns
-    the identity with all fixed points +1.
+    bases are the bases of p through j, with j removed.  A fixed j follows
+    the fixed-j rule (module docstring).
     """
-    j = _element(j, p.n)
+    j = _check_element(j, p.n)
     images = p.images
-    n = len(images)
     if images[j - 1] == j:
-        if p.color(j) == -1:
-            return p.with_color(j, 1)
-        return DecoratedPermutation.identity(n, 1)
+        return _fixed_minor(p, j, True)
+    n = len(images)
     # Carry the displaced image q clockwise from j+1, swapping it into place
     # wherever the branch test fires, until q comes to rest at the preimage
     # of j.  Positions outside the walk keep their images.  The test reads
@@ -222,18 +218,15 @@ def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     """Delete element j of the positroid of p.
 
     The result lives on the same ground set with j turned into a loop; its
-    bases are the bases of p avoiding j.  Deleting a loop changes nothing.
-    Deleting a coloop is degenerate and returns the identity with all fixed
-    points +1.  Otherwise deletion is contraction in the dual: the bases of
+    bases are the bases of p avoiding j.  A fixed j follows the fixed-j
+    rule.  Otherwise deletion is contraction in the dual: the bases of
     p avoiding j are the complements of the dual's bases through j, so the
     walk runs on dual(p), and dualising back leaves j a coloop of the
     complemented family, recolored as the loop it is after deletion.
     """
-    j = _element(j, p.n)
-    if p.image(j) == j:
-        if p.color(j) == 1:
-            return p
-        return DecoratedPermutation.identity(p.n, 1)
+    j = _check_element(j, p.n)
+    if p.images[j - 1] == j:
+        return _fixed_minor(p, j, False)
     return dual(contract(dual(p), j)).with_color(j, 1)
 
 
@@ -287,16 +280,18 @@ def classify_square(
 ) -> CaseLabel:
     """Label the commuting square at position a of the minor trace at j.
 
-    The necklace must be necklace_of(p), passed in so repeated calls do not
-    recompute it.  Requires j not fixed (fixed j has no walk to classify).
+    The necklace must be necklace_of(p); any other is rejected.  Requires j
+    not fixed (fixed j has no walk to classify).
     """
     _check_kind(kind)
-    j = _element(j, p.n)
+    j = _check_element(j, p.n)
     _check_element(a, p.n)
     if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to classify")
     if necklace.n != p.n:
         raise ValidationError(f"the necklace has {necklace.n} entries, expected {p.n}")
+    if necklace.masks != necklace_of(p).masks:
+        raise ValidationError(f"the necklace {format_necklace(necklace)} is not the necklace of {format_perm(p)}")
     contracting = kind is MinorKind.CONTRACTION
     swaps = _swaps(necklace, j, contracting)
     return _case(p.images, swaps, j, p.images.index(j) + 1, a, contracting)
@@ -333,7 +328,7 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     exactly, and consecutive rows satisfy the necklace step rule.
     """
     _check_kind(kind)
-    j = _element(j, p.n)
+    j = _check_element(j, p.n)
     if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to trace")
     contracting = kind is MinorKind.CONTRACTION

@@ -34,8 +34,8 @@ from .core import (
     PositroidError,
     PreconditionError,
     ValidationError,
+    _check_count,
     _check_element,
-    _check_n,
     _family,
     _necklace,
     _perm,
@@ -152,18 +152,18 @@ def check_matroid(family: BasisFamily) -> bool:
 
 
 def _check_enumerable(n):
-    _check_n(n)
+    _check_count(n)
     if n > ENUMERATION_CAP:
         raise ValidationError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
 
 
 def enumerate_decorated_perms(n: int):
-    """All decorated permutations of {1..n}, lex by images then colors."""
+    """All decorated permutations of {1..n}, lex by images then colors; n is checked at the call."""
     _check_enumerable(n)
-    for images in permutations(range(1, n + 1)):
-        fixed = [i for i in range(1, n + 1) if images[i - 1] == i]
-        for signs in product((-1, 1), repeat=len(fixed)):
-            yield _perm(images, tuple(zip(fixed, signs)))
+    return (_perm(images, tuple(zip(fixed, signs)))
+            for images in permutations(range(1, n + 1))
+            for fixed in [[i for i, v in enumerate(images, 1) if v == i]]
+            for signs in product((-1, 1), repeat=len(fixed)))
 
 
 @dataclass
@@ -428,8 +428,7 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     kinds = frozenset(kinds)
     if not kinds or not kinds <= BOTH_KINDS:
         raise ValidationError("kinds must be a nonempty subset of {contraction, restriction}")
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
+    _check_count(jobs, "jobs", None)
     kind_values = tuple(sorted(kk.value for kk in kinds))
     start = time.perf_counter()
     if jobs == 1:

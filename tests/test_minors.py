@@ -18,6 +18,7 @@ from positroids import (
     contract,
     contract_necklace,
     contraction_swap,
+    enumerate_decorated_perms,
     format_necklace,
     format_perm,
     is_degenerate,
@@ -229,6 +230,27 @@ class TestClassification:
         small = necklace_of(DecoratedPermutation.of((2, 3, 1)))
         with pytest.raises(ValidationError, match="the necklace has 3 entries, expected 8"):
             classify_square(perm, small, CONTRACT_J, 1)
+
+    def test_necklace_of_another_perm_rejected(self):
+        # the same size as p's own necklace; read as p's, it labelled this square R-a
+        p = parse_perm("1-,2-,4,3")
+        assert classify_square(p, necklace_of(p), 3, 2, MinorKind.RESTRICTION) is CaseLabel.R_B
+        with pytest.raises(ValidationError) as err:
+            classify_square(p, necklace_of(parse_perm("1-,3,2,4-")), 3, 2, MinorKind.RESTRICTION)
+        assert str(err.value) == "the necklace 1,2,4;1,2,4;1,3,4;1,2,4 is not the necklace of 1-,2-,4,3"
+
+    def test_every_other_necklace_of_the_same_size_rejected(self):
+        perms = list(enumerate_decorated_perms(4))
+        for p in perms:
+            moved = [j for j in range(1, 5) if p.images[j - 1] != j]
+            if not moved:
+                continue
+            for q in perms:
+                if q == p:
+                    continue
+                for kind in MinorKind:
+                    with pytest.raises(ValidationError, match="is not the necklace of"):
+                        classify_square(p, necklace_of(q), moved[0], 1, kind)
 
 
 class TestTraces:

@@ -128,6 +128,14 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             next(enumerate_decorated_perms(11))
 
+    def test_n_is_checked_at_the_call(self):
+        # not at the first next(): a bad n fails where it is passed
+        for n, message in ((11, "n=11 exceeds the enumeration cap of 10"),
+                           (0, "ground set size must be a positive integer, got 0")):
+            with pytest.raises(ValidationError) as err:
+                enumerate_decorated_perms(n)
+            assert str(err.value) == message
+
 
 class TestVerifyAll:
     def test_small_sweeps_are_clean(self):
