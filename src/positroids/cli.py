@@ -41,9 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_arg(value: str) -> str:
     """Dereference the conventional '-' to stdin."""
-    if value == "-":
-        return sys.stdin.read()
-    return value
+    return sys.stdin.read() if value == "-" else value
 
 
 def _emit(args, obj, text: str | None) -> None:
@@ -127,12 +125,8 @@ def _cmd_verify(args) -> int:
 
     if not 1 <= args.max_n <= ENUMERATION_CAP:
         raise ValidationError(f"--max-n must be between 1 and {ENUMERATION_CAP}")
-    if args.kind == "both":
-        kinds = BOTH_KINDS
-    else:
-        kinds = frozenset({MinorKind(args.kind)})
+    kinds = BOTH_KINDS if args.kind == "both" else frozenset({MinorKind(args.kind)})
     reports = []
-    failed = False
     for n in range(1, args.max_n + 1):
         report = verify_all(n, kinds, jobs=args.jobs)
         reports.append(report)
@@ -140,11 +134,9 @@ def _cmd_verify(args) -> int:
             print(report.summary())
             if report.first_failure:
                 print(f"  first failure: {report.first_failure}")
-        if report.mismatches:
-            failed = True
     # the text lines went out as each n finished
     _emit(args, [r.to_obj() for r in reports], None)
-    return 2 if failed else 0
+    return 2 if any(r.mismatches for r in reports) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

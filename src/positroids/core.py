@@ -20,9 +20,12 @@ input rule through its one checker (`_check_count`, `_check_element`,
 `_check_color`).  Values built from values already checked are made with the
 private `_subset`, `_perm`, `_necklace` and `_family`, which skip the checks,
 and the hot loops and the checks themselves read masks and image tuples
-directly.  One exception: `oracle.oracle_necklace` returns the Gale minima of
-any family unchecked, and for a family that is not a matroid they need not
-form a Grassmann necklace.
+directly.  The walks `minors.contract` and `restrict` build their results
+unchecked too, and the sweep guards that each is a permutation, so that a
+faulty walk is reported rather than trusted.  One exception:
+`oracle.oracle_necklace` returns the Gale minima of any family unchecked,
+and for a family that is not a matroid they need not form a Grassmann
+necklace.
 
 A necklace holds the masks of its entries, one int each, and `_necklace`
 takes those masks.  Its `Subset` entries are built only when a caller reads
@@ -440,7 +443,7 @@ class GrassmannNecklace:
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
     element, otherwise I_{i+1} = I_i.  Indices are cyclic, so entry(n+1) is
     entry(1).  The constructor takes the entries as Subsets and checks them
-    like validate_necklace; `oracle.oracle_necklace` builds its value without
+    with validate_necklace; `oracle.oracle_necklace` builds its value without
     the check and, for a family that is not a matroid, can return one that
     breaks the step rule.
 
@@ -454,10 +457,7 @@ class GrassmannNecklace:
     def __init__(self, entries: Sequence[Subset]):
         if not entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
-        bad = necklace_violations(entries)
-        if bad:
-            raise InvalidNecklaceError(bad)
-        self.__dict__["masks"] = tuple([e.mask for e in entries])
+        self.__dict__["masks"] = validate_necklace(entries).masks
 
     @cached_property
     def entries(self) -> tuple[Subset, ...]:
@@ -499,21 +499,18 @@ class NecklaceViolation:
 
 def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
     """All step-rule and shape violations of a candidate necklace."""
-    out = []
     if len(entries) == 0:
         return [NecklaceViolation(0, "shape", "no entries")]
     for idx, e in enumerate(entries, start=1):
         if not isinstance(e, Subset):
             raise TypeError(f"entry {idx} is not a Subset")
     n = entries[0].n
-    for idx, e in enumerate(entries, start=1):
-        if e.n != n:
-            out.append(NecklaceViolation(idx, "shape", f"ground set n={e.n} differs from n={n}"))
+    out = [NecklaceViolation(idx, "shape", f"ground set n={e.n} differs from n={n}")
+           for idx, e in enumerate(entries, start=1) if e.n != n]
     if out:
         return out
     if len(entries) != n:
-        out.append(NecklaceViolation(0, "shape", f"{len(entries)} entries for ground set of size {n}"))
-        return out
+        return [NecklaceViolation(0, "shape", f"{len(entries)} entries for ground set of size {n}")]
     return _mask_violations([e.mask for e in entries])
 
 
@@ -552,11 +549,14 @@ def validate_necklace(entries: Sequence[Subset]) -> GrassmannNecklace:
 
 def necklace_step(entry: Subset, i: int, image: int) -> Subset:
     """Successor entry under the step rule when the permutation sends i to image."""
-    _check_element(i, entry.n)
-    _check_element(image, entry.n, "image")
+    i = _check_element(i, entry.n)
+    image = _check_element(image, entry.n, "image")
     if i not in entry:
         return entry
-    return entry.discard(i).add(image)
+    rest = entry.mask ^ 1 << (i - 1)
+    if rest >> (image - 1) & 1:
+        raise ValidationError(f"image {image} is already in {entry} minus {i}")
+    return _subset(entry.n, rest | 1 << (image - 1))
 
 
 def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
@@ -667,12 +667,7 @@ class BasisFamily:
         if k.__class__ is bool or not isinstance(k, int) or not 0 <= k <= n:
             raise ValidationError(f"rank {k!r} out of range for n={n}")
         for b in self.bases:
-            if not isinstance(b, Subset):
-                raise TypeError(f"basis {b!r} is not a Subset")
-            if b.n != n:
-                raise ValidationError(f"basis {b} lives on n={b.n}, expected n={n}")
-            if b.mask.bit_count() != k:
-                raise ValidationError(f"basis {b} has size {len(b)}, expected {k}")
+            _check_basis(b, n, k)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
@@ -681,12 +676,9 @@ class BasisFamily:
         k = None
         for s in sets:
             sub = s if isinstance(s, Subset) else Subset.of(n, s)
-            if sub.n != n:
-                raise ValidationError(f"basis {sub} lives on n={sub.n}, expected n={n}")
             if k is None:
-                k = len(sub)
-            elif len(sub) != k:
-                raise ValidationError(f"basis {sub} has size {len(sub)}, expected {k}")
+                k = len(sub)  # the first basis sets the rank
+            _check_basis(sub, n, k)
             collected.add(sub)
         if k is None:
             raise ValidationError("a basis family needs at least one basis")
@@ -714,6 +706,16 @@ class BasisFamily:
 
     def __repr__(self) -> str:
         return f"BasisFamily.of({self.n}, {[list(s.members) for s in self.sorted_bases()]})"
+
+
+def _check_basis(b: Subset, n: int, k: int) -> None:
+    """Check b, a basis of a rank-k family: a k-subset of {1, ..., n}."""
+    if not isinstance(b, Subset):
+        raise TypeError(f"basis {b!r} is not a Subset")
+    if b.n != n:
+        raise ValidationError(f"basis {b} lives on n={b.n}, expected n={n}")
+    if b.mask.bit_count() != k:
+        raise ValidationError(f"basis {b} has size {len(b)}, expected {k}")
 
 
 def _family(n: int, k: int, bases: frozenset[Subset]) -> BasisFamily:

@@ -34,6 +34,7 @@ from .core import (
     ValidationError,
     _check_element,
     _necklace,
+    _perm,
     _shifted_max,
     _shifted_min,
     dual,
@@ -156,13 +157,12 @@ def restrict_necklace(necklace: GrassmannNecklace, j: int) -> GrassmannNecklace:
 
 
 def _check_kind(kind: MinorKind) -> None:
-    # an isinstance test, not MinorKind(kind): is_degenerate runs once per sweep instance
     if not isinstance(kind, MinorKind):
         raise ValidationError(f"kind must be a MinorKind, got {kind!r}")
 
 
 def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
-    # p's fixed points keep their colors; the walk's new ones are loops
+    # p's fixed points keep their colors, the walk's new ones are loops; keys increase
     old = dict(p.colors)
     return {i: old.get(i, 1) for i in range(1, len(mu) + 1) if mu[i - 1] == i}
 
@@ -211,7 +211,7 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
             q = pa
         a = t
     mu[a - 1] = q
-    return DecoratedPermutation.of(tuple(mu), _rebuild_colors(p, mu))
+    return _perm(tuple(mu), tuple(_rebuild_colors(p, mu).items()))
 
 
 def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:

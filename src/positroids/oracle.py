@@ -48,9 +48,9 @@ from .core import (
 )
 from .minors import (
     MinorKind,
+    _degenerate,
     contract,
     contract_necklace,
-    is_degenerate,
     restrict,
     restrict_necklace,
 )
@@ -70,20 +70,14 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
     _check_element(j, n)
     bit = 1 << (j - 1)
     kept = frozenset(_subset(n, h.mask ^ bit) for h in family.bases if h.mask & bit)
-    k = max(family.k - 1, 0)
-    if not kept:
-        return BasisFamily.empty(family.n, k)
-    return _family(family.n, k, kept)
+    return _family(n, max(family.k - 1, 0), kept)
 
 
 def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
     """Bases avoiding j.  Empty (sentinel) when j is a coloop."""
     _check_element(j, family.n)
     bit = 1 << (j - 1)
-    kept = frozenset(h for h in family.bases if not h.mask & bit)
-    if not kept:
-        return BasisFamily.empty(family.n, family.k)
-    return _family(family.n, family.k, kept)
+    return _family(family.n, family.k, frozenset(h for h in family.bases if not h.mask & bit))
 
 
 def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
@@ -259,10 +253,12 @@ def _gale_minima(bits, planes):
     """
     if not bits:
         return None
+    n = len(planes)
+    twice = planes * 2
     minima = []
-    for t in range(len(planes)):
+    for t in range(n):
         cand = bits
-        for plane in planes[t:] + planes[:t]:
+        for plane in twice[t:t + n]:
             hit = cand & plane
             if hit:
                 cand = hit
@@ -270,7 +266,7 @@ def _gale_minima(bits, planes):
     return tuple(minima)
 
 
-def _verify_instance(p, necklace, family, j, kind, uppers, planes):
+def _verify_instance(p, necklace, family, j, kind, uppers, planes, ground):
     """Run every oracle comparison for one (perm, j, kind) instance.
 
     Returns (degenerate, failure tags).  Degenerate instances only assert
@@ -278,20 +274,25 @@ def _verify_instance(p, necklace, family, j, kind, uppers, planes):
     force route and the structural expectations (j becomes a loop, rank
     drops by one under contraction and holds under restriction).  `family`
     is p's basis family as a bit vector, `uppers` the sweep's table of
-    Schubert cells for `_family_bits` and `planes` its element planes.  The
-    per-kind routines and the bit helpers are looked up when called, so a
-    patched module binding is the one checked.
+    Schubert cells for `_family_bits`, `planes` its element planes and
+    `ground` the set {1..n}.  The per-kind routines and the bit helpers are
+    looked up when called, so a patched module binding is the one checked.
     """
     failures = []
     n, k = necklace.n, necklace.k
     contracting = kind is MinorKind.CONTRACTION
     result = (contract if contracting else restrict)(p, j)
-    if is_degenerate(p, j, kind):
+    # the walks build their results unchecked: images that are not a
+    # permutation go through the checking constructor, which raises
+    if frozenset(result.images) != ground:
+        DecoratedPermutation(result.images, result.colors)
+    if _degenerate(p, j, contracting):
         if result != DecoratedPermutation.identity(n, 1):
             failures.append("convention")
         return True, failures
     # the bases through j when contracting, avoiding j when restricting;
     # avoiding j they are the oracle's deletion itself
+    bit = 1 << (j - 1)
     if contracting:
         oracle_family = _contract_bits(family, planes, j)
         kept = family & planes[j - 1]
@@ -306,10 +307,7 @@ def _verify_instance(p, necklace, family, j, kind, uppers, planes):
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
-    agreed = minor_necklace
-    if contracting:
-        bit = 1 << (j - 1)
-        agreed = _necklace(tuple([m & ~bit for m in minor_necklace.masks]))
+    agreed = _necklace(tuple([m & ~bit for m in minor_necklace.masks])) if contracting else minor_necklace
     if result_necklace != agreed:
         failures.append("necklace-agreement")
     if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
@@ -320,8 +318,11 @@ def _verify_instance(p, necklace, family, j, kind, uppers, planes):
             failures.append("convention")
     else:
         failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-    # positroid closure: the oracle family is cut out by its own Gale minima
-    minima = _gale_minima(oracle_family, planes) if contracting else kept_minima
+    # positroid closure: the oracle family is cut out by its own Gale minima,
+    # which contracting are kept_minima less j, as every kept basis holds j
+    minima = kept_minima
+    if contracting and minima is not None:
+        minima = tuple([m & ~bit for m in minima])
     if minima is None or _family_bits(uppers, minima) != oracle_family:
         failures.append("closure")
     if loop_coloop_status(result, j) != "loop" or result_necklace.k != (k - 1 if contracting else k):
@@ -375,6 +376,7 @@ def _sweep(n, kind_values, stride, offset):
             first_key, first_msg = key, msg
     uppers = _schubert_cells(n)
     planes = _element_planes(n)
+    ground = frozenset(range(1, n + 1))
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
             continue
@@ -392,7 +394,7 @@ def _sweep(n, kind_values, stride, offset):
         for j in range(1, n + 1):
             for kind in kinds:
                 try:
-                    skipped, fails = _verify_instance(p, necklace, family, j, kind, uppers, planes)
+                    skipped, fails = _verify_instance(p, necklace, family, j, kind, uppers, planes, ground)
                     shown = fails
                 except PositroidError as err:
                     # an invalid value built by a routine under test fails the instance, not the sweep

@@ -13,7 +13,7 @@ import positroids.core
 import positroids.minors
 import positroids.oracle
 from positroids import DecoratedPermutation, dual, verify_all
-from positroids.core import ValidationError, _necklace
+from positroids.core import ValidationError, _necklace, _perm
 
 
 def contract_stopping_early(real):
@@ -41,28 +41,37 @@ def contract_stopping_early(real):
     return contract
 
 
-def contract_leaving_j_on_its_preimage(real):
+def contract_leaving_j_on_its_preimage(build):
     # the walk never sets down the carried image, so the preimage of j keeps
-    # j and the result is not a permutation
-    def contract(p, j):
-        images = p.images
-        n = len(images)
-        if images[j - 1] == j:
-            return real(p, j)
-        mu = list(images)
-        mu[j - 1] = j
-        q = images[j - 1]
-        a = j % n + 1
-        while images[a - 1] != j:
-            pa = images[a - 1]
-            t = a % n + 1
-            if q == a or ((q - t) % n < (pa - t) % n < (j - t) % n):
-                mu[a - 1] = q
-                q = pa
-            a = t
-        return DecoratedPermutation.of(tuple(mu), positroids.minors._rebuild_colors(p, mu))
+    # j and the result is not a permutation; build makes the result from the
+    # images and the colour dict, checked or not
+    def fault(real):
+        def contract(p, j):
+            images = p.images
+            n = len(images)
+            if images[j - 1] == j:
+                return real(p, j)
+            mu = list(images)
+            mu[j - 1] = j
+            q = images[j - 1]
+            a = j % n + 1
+            while images[a - 1] != j:
+                pa = images[a - 1]
+                t = a % n + 1
+                if q == a or ((q - t) % n < (pa - t) % n < (j - t) % n):
+                    mu[a - 1] = q
+                    q = pa
+                a = t
+            return build(tuple(mu), positroids.minors._rebuild_colors(p, mu))
 
-    return contract
+        return contract
+
+    return fault
+
+
+def unchecked(images, colors):
+    # the way the real walk builds its result
+    return _perm(images, tuple(colors.items()))
 
 
 def new_fixed_points_coloured_coloops(real):
@@ -177,11 +186,20 @@ GATE = [
     ),
     # restrict walks through contract too, so both kinds raise
     pytest.param(
-        "contract", contract_leaving_j_on_its_preimage,
+        "contract", contract_leaving_j_on_its_preimage(DecoratedPermutation.of),
         {"raised": 264},
         "perm=1-,2-,4,3 j=3 kind=contraction: raised ValidationError: image 3 repeats at position 4; "
         "not a permutation",
         id="contract-leaves-j-on-its-preimage",
+    ),
+    # the same fault in a walk that builds its result unchecked, as contract
+    # does: the sweep's permutation guard raises instead
+    pytest.param(
+        "contract", contract_leaving_j_on_its_preimage(unchecked),
+        {"raised": 264},
+        "perm=1-,2-,4,3 j=3 kind=contraction: raised ValidationError: image 3 repeats at position 4; "
+        "not a permutation",
+        id="unchecked-contract-leaves-j-on-its-preimage",
     ),
     pytest.param(
         "_rebuild_colors", new_fixed_points_coloured_coloops,

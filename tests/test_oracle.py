@@ -272,6 +272,15 @@ def assert_bits_match_the_set_oracle(family):
     assert positroids.oracle._family_bits(uppers, minima) == to_bits(bases_of(necklace))
 
 
+def assert_contracted_minima(bits, planes):
+    """The minima of the contraction at j are the minima of the bases through j less j."""
+    for j in range(1, len(planes) + 1):
+        bit = 1 << (j - 1)
+        through = positroids.oracle._gale_minima(bits & planes[j - 1], planes)
+        expected = None if through is None else tuple(m & ~bit for m in through)
+        assert positroids.oracle._gale_minima(positroids.oracle._contract_bits(bits, planes, j), planes) == expected
+
+
 # every (n, k) with n <= 4, and two more at n = 5 with 1,023 families each
 EXHAUSTIVE_SIZES = [(n, k) for n in range(1, 5) for k in range(n + 1)] + [(5, 2), (5, 3)]
 
@@ -310,6 +319,28 @@ class TestBitFamilies:
     def test_empty_family_has_no_minima(self):
         for n in range(1, 5):
             assert positroids.oracle._gale_minima(0, positroids.oracle._element_planes(n)) is None
+
+    # the sweep's closure check for contraction reads the contracted family's
+    # minima off those of the bases through j, with j cleared
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_contracted_minima_of_every_bit_vector(self, n):
+        planes = positroids.oracle._element_planes(n)
+        for bits in range(1 << (1 << n)):
+            assert_contracted_minima(bits, planes)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_contracted_minima_of_every_positroid(self, n):
+        planes = positroids.oracle._element_planes(n)
+        uppers = positroids.oracle._schubert_cells(n)
+        for p in enumerate_decorated_perms(n):
+            assert_contracted_minima(positroids.oracle._family_bits(uppers, necklace_of(p).masks), planes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(4, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+    def test_contracted_minima_of_random_bit_vectors(self, n_bits):
+        n, bits = n_bits
+        assert_contracted_minima(bits, positroids.oracle._element_planes(n))
 
 
 @st.composite
