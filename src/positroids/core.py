@@ -10,9 +10,13 @@ A positroid can be recorded in three interchangeable forms:
 
 This module holds the value types, the shifted cyclic and Gale orders, the
 bijection between decorated permutations and necklaces, and basis enumeration
-from a necklace via Gale bounds.  Everything is an immutable value and every
-function is pure.  Ground sets are capped at 64 elements so subsets fit in a
-single machine word.
+from a necklace via Gale bounds.  Every function is pure and every value is
+immutable: a value type derives from `_Value`, its constructor stores the
+fields in `__dict__`, and assigning or deleting one raises `AttributeError`.
+`repr`, `==` and `hash` read the fields in order, as a frozen data class's
+would.  The library uses no data classes, whose module loads `inspect`, `ast`,
+`dis` and `tokenize`: several milliseconds of a one-shot CLI call.  Ground
+sets are capped at 64 elements so subsets fit in a machine word.
 
 Validation happens once, at the boundary: the public constructors and their
 builders, the parsers and the public functions check what they are given, each
@@ -50,7 +54,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import getitem
@@ -122,6 +125,28 @@ def _check_color(c: int, i: int | None = None) -> None:
         raise ValidationError(f"{what} must be +1 or -1, got {c!r}")
 
 
+class _Value:
+    """Base of the value types: read-only fields, named in order by `__match_args__`."""
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, self.__match_args__, self._fields()))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
 def succ(i: int, n: int) -> int:
     """Clockwise neighbor of i on the n-cycle (n wraps to 1)."""
     return i % n + 1
@@ -142,18 +167,22 @@ def cyclic_lt(a: int, b: int, t: int, n: int) -> bool:
     return (a - t) % n < (b - t) % n
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Value):
     """Subset of {1, ..., n}, stored as a bitmask (bit i-1 holds element i)."""
 
-    n: int
-    mask: int
+    __match_args__ = ("n", "mask")
 
-    def __post_init__(self):
-        _check_count(self.n)
-        mask = self.mask
-        if mask.__class__ is bool or not isinstance(mask, int) or mask < 0 or mask >> self.n:
-            raise ValidationError(f"mask {mask!r} does not fit in a {self.n}-element ground set")
+    def __init__(self, n: int, mask: int) -> None:
+        _check_count(n)
+        if mask.__class__ is bool or not isinstance(mask, int) or mask < 0 or mask >> n:
+            raise ValidationError(f"mask {mask!r} does not fit in a {n}-element ground set")
+        self.__dict__.update(n=n, mask=mask)
+
+    def __eq__(self, other):
+        return (self.n, self.mask) == (other.n, other.mask) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
@@ -308,8 +337,7 @@ def in_cyclic_interval(x: int, a: int, b: int, n: int) -> bool:
     return x != a and (x - a) % n < (b - a) % n
 
 
-@dataclass(frozen=True)
-class DecoratedPermutation:
+class DecoratedPermutation(_Value):
     """Permutation of {1, ..., n} with a +1/-1 color on each fixed point.
 
     A -1 fixed point marks a coloop (in every basis), a +1 fixed point a loop
@@ -317,11 +345,9 @@ class DecoratedPermutation:
     tuple of (fixed point, color) pairs covering exactly the fixed points.
     """
 
-    images: tuple[int, ...]
-    colors: tuple[tuple[int, int], ...]
+    __match_args__ = ("images", "colors")
 
-    def __post_init__(self):
-        images, colors = self.images, self.colors
+    def __init__(self, images: tuple[int, ...], colors: tuple[tuple[int, int], ...]) -> None:
         if not isinstance(images, tuple) or not isinstance(colors, tuple):
             raise ValidationError("images and colors must be tuples; DecoratedPermutation.of takes other forms")
         n = len(images)
@@ -355,6 +381,15 @@ class DecoratedPermutation:
             if missing:
                 raise ValidationError(f"fixed points {sorted(missing)} are missing colors")
             raise ValidationError(f"colors must list each fixed point of {list(fixed)} once, in increasing order")
+        self.__dict__.update(images=images, colors=colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.images, self.colors) == (other.images, other.colors)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images, self.colors))
 
     @classmethod
     def of(cls, images: Iterable[int], colors: Mapping[int, int] | None = None) -> "DecoratedPermutation":
@@ -363,7 +398,7 @@ class DecoratedPermutation:
         try:
             pairs = tuple(sorted(pairs))
         except TypeError:
-            pass  # keys that do not compare are not all fixed points, which __post_init__ reports
+            pass  # keys that do not compare are not all fixed points, which __init__ reports
         return cls(tuple(images), pairs)
 
     @classmethod
@@ -436,8 +471,7 @@ def dual(p: DecoratedPermutation) -> DecoratedPermutation:
     return _perm(p.inverse(), tuple((i, -c) for i, c in p.colors))
 
 
-@dataclass(frozen=True, init=False)
-class GrassmannNecklace:
+class GrassmannNecklace(_Value):
     """Cyclic sequence I_1, ..., I_n of k-subsets obeying the step rule.
 
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
@@ -452,12 +486,18 @@ class GrassmannNecklace:
     access and kept.
     """
 
-    masks: tuple[int, ...]
+    __match_args__ = ("masks",)
 
     def __init__(self, entries: Sequence[Subset]):
         if not entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
         self.__dict__["masks"] = validate_necklace(entries).masks
+
+    def __eq__(self, other):
+        return self.masks == other.masks if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.masks,))
 
     @cached_property
     def entries(self) -> tuple[Subset, ...]:
@@ -487,11 +527,11 @@ def _necklace(masks: tuple[int, ...]) -> GrassmannNecklace:
     return necklace
 
 
-@dataclass(frozen=True)
-class NecklaceViolation:
-    index: int
-    clause: str
-    detail: str
+class NecklaceViolation(_Value):
+    __match_args__ = ("index", "clause", "detail")
+
+    def __init__(self, index: int, clause: str, detail: str) -> None:
+        self.__dict__.update(index=index, clause=clause, detail=detail)
 
     def __str__(self) -> str:
         return f"entry {self.index}: [{self.clause}] {self.detail}"
@@ -647,8 +687,7 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     return _family(n, k, frozenset(found))
 
 
-@dataclass(frozen=True)
-class BasisFamily:
+class BasisFamily(_Value):
     """Family of k-subsets of {1, ..., n}, the bases of a rank-k matroid.
 
     A real family is nonempty; the empty value exists only as a sentinel for
@@ -657,17 +696,25 @@ class BasisFamily:
     of {1, ..., n}.
     """
 
-    n: int
-    k: int
-    bases: frozenset[Subset]
+    __match_args__ = ("n", "k", "bases")
 
-    def __post_init__(self):
-        n, k = self.n, self.k
+    def __init__(self, n: int, k: int, bases: frozenset[Subset]) -> None:
         _check_count(n)
         if k.__class__ is bool or not isinstance(k, int) or not 0 <= k <= n:
             raise ValidationError(f"rank {k!r} out of range for n={n}")
-        for b in self.bases:
+        if not isinstance(bases, frozenset):
+            raise ValidationError("bases must be a frozenset; BasisFamily.of takes other forms")
+        for b in bases:
             _check_basis(b, n, k)
+        self.__dict__.update(n=n, k=k, bases=bases)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.k, self.bases) == (other.n, other.k, other.bases)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.bases))
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":

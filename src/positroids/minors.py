@@ -24,7 +24,6 @@ colored +1, a loop.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .core import (
     DecoratedPermutation,
@@ -32,6 +31,7 @@ from .core import (
     PreconditionError,
     Subset,
     ValidationError,
+    _Value,
     _check_element,
     _necklace,
     _perm,
@@ -230,10 +230,11 @@ def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     return dual(contract(dual(p), j)).with_color(j, 1)
 
 
-@dataclass(frozen=True)
-class MinorResult:
-    perm: DecoratedPermutation
-    degenerate: bool
+class MinorResult(_Value):
+    __match_args__ = ("perm", "degenerate")
+
+    def __init__(self, perm: DecoratedPermutation, degenerate: bool) -> None:
+        self.__dict__.update(perm=perm, degenerate=degenerate)
 
 
 def apply_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorResult:
@@ -297,26 +298,23 @@ def classify_square(
     return _case(p.images, swaps, j, p.images.index(j) + 1, a, contracting)
 
 
-@dataclass(frozen=True)
-class SquareRow:
+class SquareRow(_Value):
     """One column of a minor trace: the square between positions a and a+1."""
 
-    a: int
-    entry: Subset
-    minor_entry: Subset
-    image: int
-    minor_image: int
-    swap: int
-    case: CaseLabel
+    __match_args__ = ("a", "entry", "minor_entry", "image", "minor_image", "swap", "case")
+
+    def __init__(self, a: int, entry: Subset, minor_entry: Subset, image: int, minor_image: int, swap: int,
+                 case: CaseLabel) -> None:
+        self.__dict__.update(a=a, entry=entry, minor_entry=minor_entry, image=image, minor_image=minor_image,
+                             swap=swap, case=case)
 
 
-@dataclass(frozen=True)
-class MinorTrace:
-    kind: MinorKind
-    j: int
-    source: DecoratedPermutation
-    result: DecoratedPermutation
-    rows: tuple[SquareRow, ...]
+class MinorTrace(_Value):
+    __match_args__ = ("kind", "j", "source", "result", "rows")
+
+    def __init__(self, kind: MinorKind, j: int, source: DecoratedPermutation, result: DecoratedPermutation,
+                 rows: tuple[SquareRow, ...]) -> None:
+        self.__dict__.update(kind=kind, j=j, source=source, result=result, rows=rows)
 
 
 def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:

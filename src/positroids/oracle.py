@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from itertools import permutations, product
 from operator import and_
@@ -34,6 +33,7 @@ from .core import (
     PositroidError,
     PreconditionError,
     ValidationError,
+    _Value,
     _check_count,
     _check_element,
     _family,
@@ -160,16 +160,19 @@ def enumerate_decorated_perms(n: int):
             for signs in product((-1, 1), repeat=len(fixed)))
 
 
-@dataclass
-class VerificationReport:
-    n: int
-    kind: str
-    instances_checked: int
-    degenerate_skipped: int
-    mismatches: int
-    check_failures: dict[str, int]
-    first_failure: str | None
-    elapsed: float
+class VerificationReport(_Value):
+    __match_args__ = ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches", "check_failures",
+                      "first_failure", "elapsed")
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, kind: str, instances_checked: int, degenerate_skipped: int, mismatches: int,
+                 check_failures: dict[str, int], first_failure: str | None, elapsed: float) -> None:
+        self.__dict__.update(n=n, kind=kind, instances_checked=instances_checked,
+                             degenerate_skipped=degenerate_skipped, mismatches=mismatches,
+                             check_failures=check_failures, first_failure=first_failure, elapsed=elapsed)
 
     def summary(self) -> str:
         status = "ok" if self.mismatches == 0 else f"FAIL, {self.mismatches} mismatches"
@@ -179,7 +182,7 @@ class VerificationReport:
         )
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__match_args__} | {"check_failures": dict(self.check_failures)}
 
 
 def _check_squares(p, necklace, minor_necklace, result, j, kind):

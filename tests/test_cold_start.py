@@ -28,6 +28,8 @@ PACKAGE_ROOT = str(Path(positroids.__file__).resolve().parents[1])
 GOLDEN_PERM = "6,1,4,8,2,7,3,5"
 GOLDEN_NECKLACE = "1,2,3,5;2,3,5,6;1,3,5,6;1,4,5,6;1,5,6,8;1,2,6,8;1,2,7,8;1,2,3,8"
 LAZY_MODULES = ("positroids.minors", "positroids.oracle", "json")
+# what importing dataclasses would load; no command needs any of them
+UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def python(*args):
@@ -117,8 +119,9 @@ def test_the_surface_in_a_fresh_process():
 
 
 def loaded_after(code):
-    """Which of LAZY_MODULES a fresh process has loaded after running code."""
-    report = f"import sys\nprint(*sorted(sys.modules.keys() & {set(LAZY_MODULES)!r}), file=sys.stderr)"
+    """Which of LAZY_MODULES and UNUSED_MODULES a fresh process has loaded after running code."""
+    watched = {*LAZY_MODULES, *UNUSED_MODULES}
+    report = f"import sys\nprint(*sorted(sys.modules.keys() & {watched!r}), file=sys.stderr)"
     child = python("-c", f"{code}\n{report}")
     assert child.returncode == 0, child.stderr
     return set(child.stderr.splitlines()[-1].split())
@@ -126,7 +129,7 @@ def loaded_after(code):
 
 @pytest.fixture(scope="module")
 def at_bare_start():
-    # json counts only where a bare interpreter does not load it already
+    # a module counts only where a bare interpreter does not load it already
     return loaded_after("pass")
 
 
@@ -140,8 +143,11 @@ def at_bare_start():
         (["restrict", "--perm", GOLDEN_PERM, "-j", "5", "--trace"], {"positroids.minors"}),
         (["contract", "--format", "json", "--perm", GOLDEN_PERM, "-j", "3"], {"positroids.minors", "json"}),
         (["necklace", "--format", "json", "--perm", GOLDEN_PERM], {"json"}),
+        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], {"positroids.minors", "positroids.oracle"}),
+        (["verify", "--max-n", "3"], {"positroids.minors", "positroids.oracle"}),
     ],
-    ids=["import positroids", "necklace", "perm", "bases", "restrict --trace", "contract json", "necklace json"],
+    ids=["import positroids", "necklace", "perm", "bases", "restrict --trace", "contract json", "necklace json",
+         "is-positroid", "verify"],
 )
 def test_what_a_fresh_process_loads(at_bare_start, argv, loads):
     code = "import positroids" if argv is None else f"from positroids.cli import run\nrun({argv!r})"
