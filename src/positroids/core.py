@@ -149,11 +149,13 @@ class _Value:
 
 def succ(i: int, n: int) -> int:
     """Clockwise neighbor of i on the n-cycle (n wraps to 1)."""
+    _check_operands(n, (i, "element"))
     return i % n + 1
 
 
 def pred(i: int, n: int) -> int:
     """Counterclockwise neighbor of i on the n-cycle (1 wraps to n)."""
+    _check_operands(n, (i, "element"))
     return (i - 2) % n + 1
 
 

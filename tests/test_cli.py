@@ -4,6 +4,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from positroids import VerificationReport
 from positroids.cli import run
 
@@ -172,3 +174,94 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "positroids" in out_of(capsys)
+
+
+WARNING_2 = ("warning: deleting j=2 is degenerate (no minor of the expected rank exists on this ground set); "
+             "returning the identity with all fixed points +1")
+COMMAND_CHOICES = "'necklace', 'perm', 'bases', 'contract', 'restrict', 'is-positroid', 'verify'"
+NECKLACE_2_1_JSON = '{\n  "n": 2,\n  "k": 1,\n  "entries": [\n    [\n      1\n    ],\n    [\n      2\n    ]\n  ]\n}\n'
+
+# (argv, exit status, stdout, last stderr line), as the argparse parser answered them; the usage block
+# above a usage error's last line is not pinned
+COMMAND_LINES = [
+    ([], 1, "", "positroids: error: the following arguments are required: command"),
+    (["no-such"], 1, "",
+     f"positroids: error: argument command: invalid choice: 'no-such' (choose from {COMMAND_CHOICES})"),
+    (["necklace"], 1, "", "positroids necklace: error: the following arguments are required: --perm"),
+    (["necklace", "--perm"], 1, "", "positroids necklace: error: argument --perm: expected one argument"),
+    (["necklace", "--perm", "2,1", "extra"], 1, "", "positroids: error: unrecognized arguments: extra"),
+    (["necklace", "--perm", "2,1", "--trace"], 1, "", "positroids: error: unrecognized arguments: --trace"),
+    (["contract", "--perm", "2,1"], 1, "", "positroids contract: error: the following arguments are required: -j"),
+    (["contract", "--perm", "2,1", "-j", "x"], 1, "",
+     "positroids contract: error: argument -j: invalid int value: 'x'"),
+    (["contract", "--perm", "2,1", "-j", "1", "--trace=yes"], 1, "",
+     "positroids contract: error: argument --trace: ignored explicit argument 'yes'"),
+    (["--format", "xml", "necklace", "--perm", "2,1"], 1, "",
+     "positroids: error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["verify", "--max-n", "x"], 1, "", "positroids verify: error: argument --max-n: invalid int value: 'x'"),
+    (["verify", "--max-n", "2", "--kind", "bad"], 1, "",
+     "positroids verify: error: argument --kind: invalid choice: 'bad' "
+     "(choose from 'contraction', 'restriction', 'both')"),
+    (["bases"], 1, "", "positroids bases: error: one of the arguments --perm --necklace is required"),
+    (["bases", "--perm", "2,1", "--necklace", "1;2"], 1, "",
+     "positroids bases: error: argument --necklace: not allowed with argument --perm"),
+    (["necklace", "--=x"], 1, "", "positroids: error: ambiguous option: --=x could match --help, --format"),
+    (["--", "necklace", "--perm", "2,1"], 1, "",
+     f"positroids: error: argument command: invalid choice: '--' (choose from {COMMAND_CHOICES})"),
+    (["necklace", "--perm", "2,1", "--", "x"], 1, "", "positroids: error: unrecognized arguments: -- x"),
+    (["--zzz", "necklace", "--perm", "2,1", "-x"], 1, "", "positroids: error: unrecognized arguments: --zzz -x"),
+    (["-hx"], 1, "", "positroids: error: argument -h/--help: ignored explicit argument 'x'"),
+    (["necklace", "--perm", "--trace"], 1, "", "positroids necklace: error: argument --perm: expected one argument"),
+    # accepted: unique prefixes, --opt=value, -jJ, the last of a repeated option, --format on either side
+    (["necklace", "--pe", "2,1"], 0, "1;2\n", ""),
+    (["--form", "json", "necklace", "--perm", "2,1"], 0, NECKLACE_2_1_JSON, ""),
+    (["contract", "--perm", "2,1", "-j2"], 0, "1+,2+\n", ""),
+    (["necklace", "--perm=2,1"], 0, "1;2\n", ""),
+    (["necklace", "--perm", "2,1", "--perm", "1+,2+"], 0, ";\n", ""),
+    (["--format", "json", "contract", "--perm", "2,1", "-j", "1", "--format", "text"], 0, "1+,2+\n", ""),
+    (["restrict", "--perm", "2,1", "-j", "1", "-j", "2"], 0, "1+,2+\n", WARNING_2),
+    (["--format=json", "--format", "text", "perm", "--n", "1;2"], 0, "2,1\n", ""),
+    # a negative number is a value, not an option
+    (["contract", "--perm", "2,1", "-j", "-1"], 1, "", "error: element -1 is out of range 1..2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status, out, last_err", COMMAND_LINES, ids=[" ".join(row[0]) or "-" for row in COMMAND_LINES],
+)
+def test_command_line_table(capsys, argv, status, out, last_err):
+    assert run(argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert (captured.err.splitlines() or [""])[-1] == last_err
+    if last_err.startswith("positroids"):
+        assert captured.err.startswith(f"usage: {last_err.split(':')[0]}")
+
+
+COMMANDS = ["necklace", "perm", "bases", "contract", "restrict", "is-positroid", "verify"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["--format", "json", "--he"], ["necklace", "-x", "-h"], ["contract", "-hj", "1"]],
+)
+def test_help_lists_the_commands_or_the_options(capsys, argv):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: positroids {argv[0] if argv[0] in COMMANDS else '[-h]'}")
+    named = COMMANDS if argv[0] not in COMMANDS else ["--perm"]
+    assert all(f"  {name} " in captured.out for name in named)
+
+
+@pytest.mark.parametrize("command, options", [
+    ("necklace", ["--format", "--perm"]), ("perm", ["--necklace"]), ("bases", ["--perm", "--necklace"]),
+    ("contract", ["--perm", "-j", "--trace"]), ("restrict", ["--perm", "-j", "--trace"]),
+    ("is-positroid", ["--bases", "--n"]), ("verify", ["--max-n", "--kind", "--jobs"]),
+])
+def test_command_help_names_its_options(capsys, command, options):
+    # -h wins over the missing required options, and -hh reads on as -h -h
+    for argv in ([command, "-h"], [command, "--help"], [command, "-hh"]):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: positroids {command} ")
+        assert all(f"\n  {option} " in out for option in ["-h, --help", *options])

@@ -30,6 +30,8 @@ GOLDEN_NECKLACE = "1,2,3,5;2,3,5,6;1,3,5,6;1,4,5,6;1,5,6,8;1,2,6,8;1,2,7,8;1,2,3
 LAZY_MODULES = ("positroids.minors", "positroids.oracle", "json")
 # what importing dataclasses would load; no command needs any of them
 UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# what importing argparse would load; the command table reads argv without them
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
 def python(*args):
@@ -119,8 +121,8 @@ def test_the_surface_in_a_fresh_process():
 
 
 def loaded_after(code):
-    """Which of LAZY_MODULES and UNUSED_MODULES a fresh process has loaded after running code."""
-    watched = {*LAZY_MODULES, *UNUSED_MODULES}
+    """Which of LAZY_MODULES, UNUSED_MODULES and PARSER_MODULES a fresh process has loaded after running code."""
+    watched = {*LAZY_MODULES, *UNUSED_MODULES, *PARSER_MODULES}
     report = f"import sys\nprint(*sorted(sys.modules.keys() & {watched!r}), file=sys.stderr)"
     child = python("-c", f"{code}\n{report}")
     assert child.returncode == 0, child.stderr
