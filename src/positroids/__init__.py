@@ -1,52 +1,18 @@
 """Positroids: decorated permutations, Grassmann necklaces, and their minors.
 
-`import positroids` loads `core` alone.  The names that `minors` and `oracle`
-define, and those two submodules themselves, resolve on first use through the
-module `__getattr__` (PEP 562), which imports the defining module then.  A
-one-shot call that needs only `core`, such as `positroids necklace`, so never
-compiles or runs the other two: where Python writes no bytecode cache, every
-process pays that cost again for each module it imports.
+`import positroids` loads `core` alone and takes the names in its `__all__`.
+The names that `minors`, `oracle` and `orders` define, and those submodules
+themselves, resolve on first use through the module `__getattr__` (PEP 562),
+which imports the defining module then.  A one-shot call that needs only
+`core`, such as `positroids necklace`, so never compiles or runs the others:
+where Python writes no bytecode cache, every process pays that cost again for
+each module it imports.
 """
 
 import importlib
 
-from .core import (
-    MAX_GROUND_SET,
-    BasisFamily,
-    DecoratedPermutation,
-    GrassmannNecklace,
-    InvalidNecklaceError,
-    NecklaceViolation,
-    PositroidError,
-    PreconditionError,
-    Subset,
-    ValidationError,
-    bases_of,
-    bases_to_obj,
-    cyclic_lt,
-    dual,
-    format_bases,
-    format_necklace,
-    format_perm,
-    format_subset,
-    gale_extremum,
-    gale_leq,
-    in_cyclic_interval,
-    loop_coloop_status,
-    necklace_of,
-    necklace_step,
-    necklace_to_obj,
-    necklace_violations,
-    parse_bases,
-    parse_necklace,
-    parse_perm,
-    parse_subset,
-    perm_of,
-    perm_to_obj,
-    pred,
-    succ,
-    validate_necklace,
-)
+from . import core
+from .core import *
 
 # name -> the submodule that defines it, imported on the first read of a name
 _LAZY = {
@@ -61,12 +27,15 @@ _LAZY = {
         "enumerate_decorated_perms", "is_positroid", "oracle_contract", "oracle_delete",
         "oracle_necklace", "verify_all",
     ), "oracle"),
+    **dict.fromkeys((
+        "cyclic_lt", "gale_extremum", "gale_leq", "in_cyclic_interval", "necklace_step", "pred", "succ",
+    ), "orders"),
 }
 
 
 def __getattr__(name):
     module = _LAZY.get(name)
-    if module is None and name not in ("minors", "oracle"):
+    if module is None and name not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # importing a submodule also binds it here, so each submodule name comes
     # through once; a lazy name is kept so that later reads skip this hook
@@ -87,18 +56,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_GROUND_SET", "BOTH_KINDS", "ENUMERATION_CAP", "BasisFamily", "CaseLabel",
-    "DecoratedPermutation", "GrassmannNecklace", "InvalidNecklaceError", "MinorKind",
-    "MinorResult", "MinorTrace", "NecklaceViolation", "PositroidError", "PreconditionError",
-    "SquareRow", "Subset", "ValidationError", "VerificationReport", "apply_minor", "bases_of",
-    "bases_to_obj", "check_matroid", "classify_square", "contract", "contract_necklace",
-    "contraction_swap", "cyclic_lt", "dual", "enumerate_decorated_perms", "format_bases",
-    "format_necklace", "format_perm", "format_subset", "gale_extremum", "gale_leq",
-    "in_cyclic_interval", "is_degenerate", "is_positroid", "loop_coloop_status", "necklace_of",
-    "necklace_step", "necklace_to_obj", "necklace_violations", "oracle_contract",
-    "oracle_delete", "oracle_necklace", "parse_bases", "parse_necklace", "parse_perm",
-    "parse_subset", "perm_of", "perm_to_obj", "pred", "render_trace", "restrict",
-    "restrict_necklace", "restriction_swap", "succ", "trace_minor", "trace_to_obj",
-    "validate_necklace", "verify_all",
-]
+__all__ = [*core.__all__, *_LAZY]

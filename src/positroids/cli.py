@@ -8,8 +8,6 @@ without it: importing it (with `gettext` and `locale`) and building its seven su
 about 4 ms slower, 87 ms against 83 ms (medians of 60 alternating runs, 2-core x86, Python 3.11, no bytecode cache).
 """
 
-from __future__ import annotations
-
 import sys
 
 from .core import (

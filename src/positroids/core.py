@@ -8,11 +8,13 @@ A positroid can be recorded in three interchangeable forms:
   a step rule (I_{i+1} is I_i with i swapped out, or I_i unchanged),
 * the explicit family of its bases.
 
-This module holds the value types, the shifted cyclic and Gale orders, the
-bijection between decorated permutations and necklaces, and basis enumeration
-from a necklace via Gale bounds.  Every function is pure and every value is
-immutable: a value type derives from `_Value`, its constructor stores the
-fields in `__dict__`, and assigning or deleting one raises `AttributeError`.
+This module holds the value types, the bijection between decorated
+permutations and necklaces, and basis enumeration from a necklace via Gale
+bounds; `orders` holds the cyclic and Gale orders as checked public functions,
+and `__all__` lists what `positroids` takes from here.  Every function is pure
+and every value is immutable: a value type derives from `_Value`, its
+constructor stores the fields in `__dict__`, and assigning or deleting one
+raises `AttributeError`.
 `repr`, `==` and `hash` read the fields in order, as a frozen data class's
 would.  The library uses no data classes, whose module loads `inspect`, `ast`,
 `dis` and `tokenize`: several milliseconds of a one-shot CLI call.  Ground
@@ -50,13 +52,19 @@ every token with `int()` and checks the elements with `Subset.of`, so it
 accepts what `int()` accepts and reports the first bad entry.
 """
 
-from __future__ import annotations
-
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import chain
 from operator import getitem
+
+__all__ = [
+    "MAX_GROUND_SET", "BasisFamily", "DecoratedPermutation", "GrassmannNecklace", "InvalidNecklaceError",
+    "NecklaceViolation", "PositroidError", "PreconditionError", "Subset", "ValidationError", "bases_of",
+    "bases_to_obj", "dual", "format_bases", "format_necklace", "format_perm", "format_subset", "loop_coloop_status",
+    "necklace_of", "necklace_to_obj", "necklace_violations", "parse_bases", "parse_necklace", "parse_perm",
+    "parse_subset", "perm_of", "perm_to_obj", "validate_necklace",
+]
 
 MAX_GROUND_SET = 64
 
@@ -112,12 +120,6 @@ def _check_element(i: int, n: int, what: str = "element") -> int:
     return int(i)
 
 
-def _check_operands(n: int, *operands: tuple[int, str]) -> None:
-    _check_count(n)
-    for v, what in operands:
-        _check_element(v, n, what)
-
-
 def _check_color(c: int, i: int | None = None) -> None:
     """Check c, the color of fixed point i (unnamed when None): +1 or -1, not a bool."""
     if c.__class__ is bool or not isinstance(c, int) or c not in (-1, 1):
@@ -145,28 +147,6 @@ class _Value:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-
-def succ(i: int, n: int) -> int:
-    """Clockwise neighbor of i on the n-cycle (n wraps to 1)."""
-    _check_operands(n, (i, "element"))
-    return i % n + 1
-
-
-def pred(i: int, n: int) -> int:
-    """Counterclockwise neighbor of i on the n-cycle (1 wraps to n)."""
-    _check_operands(n, (i, "element"))
-    return (i - 2) % n + 1
-
-
-def cyclic_lt(a: int, b: int, t: int, n: int) -> bool:
-    """Strict comparison in the shifted cyclic order starting at t.
-
-    The order reads t < t+1 < ... < n < 1 < ... < t-1, so every element is
-    comparable and t is the minimum.
-    """
-    _check_operands(n, (a, "left operand"), (b, "right operand"), (t, "start"))
-    return (a - t) % n < (b - t) % n
 
 
 class Subset(_Value):
@@ -280,30 +260,6 @@ def _gale_bounds(mask: int, t: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def gale_leq(a: Subset, b: Subset, t: int) -> bool:
-    """Gale partial order at starting point t: componentwise <=_t comparison.
-
-    Both subsets are sorted increasingly in the shifted order starting at t
-    and compared position by position.  Only equal-size subsets of the same
-    ground set are comparable.
-    """
-    if not isinstance(a, Subset) or not isinstance(b, Subset):
-        raise TypeError("gale_leq expects Subset operands")
-    a._same_ground(b)
-    _check_element(t, a.n, "start")
-    if len(a) != len(b):
-        raise ValidationError(f"Gale order compares equal-size subsets, got sizes {len(a)} and {len(b)}")
-    return all((b.mask & prefix).bit_count() <= count for prefix, count in _gale_bounds(a.mask, t, a.n))
-
-
-def gale_extremum(d: Subset, t: int, direction: str = "max") -> int:
-    """Largest or smallest member of d in the shifted order starting at t."""
-    if direction not in ("max", "min"):
-        raise ValidationError(f"direction must be 'max' or 'min', got {direction!r}")
-    _check_element(t, d.n, "start")
-    return (_shifted_max if direction == "max" else _shifted_min)(d.mask, t)
-
-
 def _shifted_max(mask: int, t: int) -> int:
     """Largest member of a mask in the order t < ... < n < 1 < ... < t-1.
 
@@ -325,18 +281,6 @@ def _shifted_min(mask: int, t: int) -> int:
         raise PreconditionError("the empty set has no Gale extremum")
     low = mask >> (t - 1) << (t - 1) or mask
     return (low & -low).bit_length()
-
-
-def in_cyclic_interval(x: int, a: int, b: int, n: int) -> bool:
-    """True when x lies strictly inside the clockwise open interval (a, b).
-
-    Reading clockwise from a, the interval collects everything after a and
-    before b.  Endpoints a and b must differ.
-    """
-    _check_operands(n, (x, "element"), (a, "left endpoint"), (b, "right endpoint"))
-    if a == b:
-        raise ValidationError("open cyclic interval needs distinct endpoints")
-    return x != a and (x - a) % n < (b - a) % n
 
 
 class DecoratedPermutation(_Value):
@@ -570,13 +514,13 @@ def _mask_violations(masks: Sequence[int]) -> list[NecklaceViolation]:
         nxt = masks[i % n]
         if not cur & bit:
             if nxt != cur:
-                out.append(NecklaceViolation(i, "step", f"{i} is absent from I_{i} but I_{succ(i, n)} != I_{i}"))
+                out.append(NecklaceViolation(i, "step", f"{i} is absent from I_{i} but I_{i % n + 1} != I_{i}"))
         else:
             dropped = cur ^ bit
             if dropped & ~nxt:
-                out.append(NecklaceViolation(i, "step", f"I_{succ(i, n)} loses more than element {i} from I_{i}"))
+                out.append(NecklaceViolation(i, "step", f"I_{i % n + 1} loses more than element {i} from I_{i}"))
             elif (nxt & ~dropped).bit_count() != 1:
-                out.append(NecklaceViolation(i, "step", f"I_{succ(i, n)} must add exactly one element to I_{i} minus {i}"))
+                out.append(NecklaceViolation(i, "step", f"I_{i % n + 1} must add exactly one element to I_{i} minus {i}"))
         bit <<= 1
     return out
 
@@ -587,18 +531,6 @@ def validate_necklace(entries: Sequence[Subset]) -> GrassmannNecklace:
     if bad:
         raise InvalidNecklaceError(bad)
     return _necklace(tuple([e.mask for e in entries]))
-
-
-def necklace_step(entry: Subset, i: int, image: int) -> Subset:
-    """Successor entry under the step rule when the permutation sends i to image."""
-    i = _check_element(i, entry.n)
-    image = _check_element(image, entry.n, "image")
-    if i not in entry:
-        return entry
-    rest = entry.mask ^ 1 << (i - 1)
-    if rest >> (image - 1) & 1:
-        raise ValidationError(f"image {image} is already in {entry} minus {i}")
-    return _subset(entry.n, rest | 1 << (image - 1))
 
 
 def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
@@ -709,14 +641,6 @@ class BasisFamily(_Value):
         for b in bases:
             _check_basis(b, n, k)
         self.__dict__.update(n=n, k=k, bases=bases)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.k, self.bases) == (other.n, other.k, other.bases)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.bases))
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":

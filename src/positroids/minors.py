@@ -21,8 +21,6 @@ points +1, flagged degenerate; at any other fixed j the minor is p with j
 colored +1, a loop.
 """
 
-from __future__ import annotations
-
 import enum
 
 from .core import (

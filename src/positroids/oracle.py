@@ -18,8 +18,6 @@ vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 witness plane per element, with no 2^n-bit vector, at every n up to 64.
 """
 
-from __future__ import annotations
-
 import os
 import time
 from functools import partial, reduce
@@ -30,7 +28,6 @@ from .core import (
     BasisFamily,
     DecoratedPermutation,
     GrassmannNecklace,
-    PositroidError,
     PreconditionError,
     ValidationError,
     _Value,
@@ -390,7 +387,7 @@ def _sweep(n, kind_values, stride, offset):
             family = _family_bits(uppers, necklace.masks)
             if _gale_minima(family, planes) != necklace.masks:
                 record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
-        except PositroidError as err:
+        except Exception as err:
             # with no necklace or family there is nothing to check the minors against
             record((idx, 0, ""), f"n={n} perm={format_perm(p)}: raised {type(err).__name__}: {err}", ["raised"])
             continue
@@ -399,8 +396,8 @@ def _sweep(n, kind_values, stride, offset):
                 try:
                     skipped, fails = _verify_instance(p, necklace, family, j, kind, uppers, planes, ground)
                     shown = fails
-                except PositroidError as err:
-                    # an invalid value built by a routine under test fails the instance, not the sweep
+                except Exception as err:
+                    # an invalid value built by a routine under test, or its crash, fails the instance, not the sweep
                     skipped, fails, shown = False, ["raised"], [f"raised {type(err).__name__}: {err}"]
                 if skipped:
                     degenerate += 1
@@ -421,10 +418,12 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     Sweeps every decorated permutation of {1..n} and every j, checking the
     permutation walk and the necklace swap formula against brute-force set
     arithmetic, plus round trips, square commutation, positroid closure, and
-    the degenerate conventions.  A `PositroidError` raised while checking an
-    instance fails that instance under the tag `raised`, and the sweep goes
-    on; one raised by a permutation's own checks (necklace, round trip,
-    family) fails that permutation the same way and skips its instances.
+    the degenerate conventions.  An exception raised while checking an
+    instance, a `PositroidError` or a crash such as an `IndexError`, fails
+    that instance under the tag `raised` with its class name and message, and
+    the sweep goes on; one raised by a permutation's own checks (necklace,
+    round trip, family) fails that permutation the same way and skips its
+    instances.
 
     jobs > 1 splits the sweep across processes; results are merged
     deterministically.  Every argument is checked before any work starts.

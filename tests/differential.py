@@ -5,8 +5,8 @@ not matter) with valid and invalid arguments on ground sets of up to 64 elements
 from the command table's tokens.  Each call gives one line: the entry point and its arguments, then `->` and the
 result's repr, or `-> raise` and the exception's class and message.  A command line shows its exit status, stdout
 and stderr.  `verify`'s elapsed time is masked, and a repr longer than `WIDTH` keeps its two ends, with its length
-and digest between them.  Each name draws from its own generator, seeded by the seed and the name, so adding a name moves no
-other name's lines.
+and digest between them.  Each name draws from its own generator, seeded by the seed and the name, so adding a name
+moves no other name's lines.
 
 Only the standard library is used.  `tests/test_differential.py` replays the golden seed against
 `tests/differential_golden.txt`, which the parent of each refactor generated.  Run it as a script to print the
@@ -150,7 +150,7 @@ def _arguments(P, d: Draw, name):
     if name in ("PositroidError", "ValidationError", "PreconditionError"):
         return name, obj, (rng.choice(("bad input", "")),)
     if name == "InvalidNecklaceError":
-        return name, obj, (d.P.necklace_violations(list(d.necklace(small).entries[:-1]) or [d.subset(2)]),)
+        return name, obj, (P.necklace_violations(list(d.necklace(small).entries[:-1]) or [d.subset(2)]),)
     if name == "NecklaceViolation":
         return name, obj, (rng.randint(0, n), rng.choice(("step", "size", "shape")), "detail")
     if name == "MinorKind":
@@ -159,9 +159,7 @@ def _arguments(P, d: Draw, name):
         return name, obj, (rng.choice([c.value for c in obj] + ["Case5"]),)
     if name in ("succ", "pred"):
         return name, obj, (d.element(n), d.odd(n))
-    if name == "cyclic_lt":
-        return name, obj, (d.element(n), d.element(n), d.element(n), d.odd(n))
-    if name == "in_cyclic_interval":
+    if name in ("cyclic_lt", "in_cyclic_interval"):
         return name, obj, (d.element(n), d.element(n), d.element(n), d.odd(n))
     if name == "gale_leq":
         k = rng.randint(0, n)
@@ -322,7 +320,8 @@ def _compare(old, new, seed, calls, argvs) -> int:
         cmd = [sys.executable, __file__, "--seed", str(seed), "--calls", str(calls), "--argvs", str(argvs)]
         lines.append(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout.splitlines())
     api = sum(not line.startswith("cli(") for line in lines[0])
-    print(f"seed {seed}: {api} API calls and {len(lines[0]) - api} command lines on {old}; {len(lines[1])} lines on {new}")
+    print(f"seed {seed}: {api} API calls and {len(lines[0]) - api} command lines on {old}; "
+          f"{len(lines[1])} lines on {new}")
     diff = list(difflib.unified_diff(*lines, old, new, n=0, lineterm=""))
     print("\n".join(diff[:40]) if diff else "no differing lines")
     return 1 if diff else 0

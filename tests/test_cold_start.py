@@ -1,10 +1,10 @@
 """What a fresh process loads and prints: the package surface after lazy loading.
 
-`import positroids` loads `core` alone and resolves the names of `minors` and
-`oracle` on first use, and each CLI handler imports what it needs when it
-runs.  In this test process every module is loaded already, so a handler that
-forgot its import would still pass the in-process tests; the checks here that
-matter run in a new interpreter.
+`import positroids` loads `core` alone and resolves the names of `minors`,
+`oracle` and `orders` on first use, and each CLI handler imports what it needs
+when it runs.  In this test process every module is loaded already, so a
+handler that forgot its import would still pass the in-process tests; the
+checks here that matter run in a new interpreter.
 """
 
 import json
@@ -27,9 +27,9 @@ PACKAGE_ROOT = str(Path(positroids.__file__).resolve().parents[1])
 
 GOLDEN_PERM = "6,1,4,8,2,7,3,5"
 GOLDEN_NECKLACE = "1,2,3,5;2,3,5,6;1,3,5,6;1,4,5,6;1,5,6,8;1,2,6,8;1,2,7,8;1,2,3,8"
-LAZY_MODULES = ("positroids.minors", "positroids.oracle", "json")
-# what importing dataclasses would load; no command needs any of them
-UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+LAZY_MODULES = ("positroids.minors", "positroids.oracle", "positroids.orders", "json")
+# what importing dataclasses would load, and the module a future import loads; no command needs any of them
+UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
 # what importing argparse would load; the command table reads argv without them
 PARSER_MODULES = ("argparse", "gettext", "locale")
 
@@ -154,3 +154,8 @@ def at_bare_start():
 def test_what_a_fresh_process_loads(at_bare_start, argv, loads):
     code = "import positroids" if argv is None else f"from positroids.cli import run\nrun({argv!r})"
     assert loaded_after(code) - at_bare_start == loads - at_bare_start
+
+
+def test_reading_an_order_helper_loads_orders_alone(at_bare_start):
+    loads = loaded_after("import positroids\npositroids.gale_leq")
+    assert loads - at_bare_start == {"positroids.orders"} - at_bare_start

@@ -175,6 +175,16 @@ def contract_keeping_a_coloop(real):
     return contract
 
 
+def contract_indexing_past_the_end(real):
+    # the walk reads the image after j's image 0-based, off the end of the
+    # images when j goes to n: a crash, not an invalid value
+    def contract(p, j):
+        p.images[p.images[j - 1]]
+        return real(p, j)
+
+    return contract
+
+
 # (function name, fault, check_failures, first_failure after "n=4 ")
 GATE = [
     pytest.param(
@@ -200,6 +210,13 @@ GATE = [
         "perm=1-,2-,4,3 j=3 kind=contraction: raised ValidationError: image 3 repeats at position 4; "
         "not a permutation",
         id="unchecked-contract-leaves-j-on-its-preimage",
+    ),
+    # a crash in a routine under test fails its instances and the sweep goes on
+    pytest.param(
+        "contract", contract_indexing_past_the_end,
+        {"raised": 98},
+        "perm=1-,2-,3-,4- j=4 kind=contraction: raised IndexError: tuple index out of range",
+        id="contract-indexes-past-the-end",
     ),
     pytest.param(
         "_rebuild_colors", new_fixed_points_coloured_coloops,
