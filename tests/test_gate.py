@@ -156,6 +156,27 @@ def family_bits_dropping_one(real):
     return family_bits
 
 
+def necklace_of_marking_a_second_loop(real):
+    # entry 1 takes the second loop of every permutation that has two
+    def necklace_of(p):
+        necklace = real(p)
+        loops = [i for i, color in p.colors if color == 1]
+        if len(loops) < 2:
+            return necklace
+        return _necklace((necklace.masks[0] | 1 << (loops[1] - 1),) + necklace.masks[1:])
+
+    return necklace_of
+
+
+def gale_minima_rotated_for_two_bases(real):
+    # the minima of every two-basis family, read one start late
+    def gale_minima(bits, planes):
+        minima = real(bits, planes)
+        return minima[1:] + minima[:1] if bits.bit_count() == 2 else minima
+
+    return gale_minima
+
+
 def bit_deletion_dropping_one(real):
     def delete_bits(bits, planes, j):
         kept = real(bits, planes, j)
@@ -275,6 +296,22 @@ GATE = [
         {"min-recovery": 49, "necklace-formula": 196, "oracle": 112, "closure": 148},
         "perm=1-,2-,4,3: min-recovery",
         id="bases-of-drops-one-basis",
+    ),
+    # the sweep reuses a minor's necklace and family, and a kept family's
+    # minima, across the instances that give equal ones: a fault at either
+    # seam is still reported once per instance
+    pytest.param(
+        "necklace_of", necklace_of_marking_a_second_loop,
+        {"oracle": 164, "necklace-agreement": 183, "structure": 164, "min-recovery": 10, "necklace-formula": 36,
+         "closure": 36, "raised": 17, "color-flip": 57, "commutation": 12, "square-pattern": 3},
+        "perm=1-,2-,3-,4+ j=1 kind=contraction: oracle, necklace-agreement, structure",
+        id="necklace-of-marks-a-second-loop",
+    ),
+    pytest.param(
+        "_gale_minima", gale_minima_rotated_for_two_bases,
+        {"min-recovery": 24, "necklace-formula": 128, "closure": 128},
+        "perm=1-,2-,4,3: min-recovery",
+        id="gale-minima-rotated-for-two-bases",
     ),
     pytest.param(
         "_delete_bits", bit_deletion_dropping_one,
