@@ -120,6 +120,12 @@ def _check_element(i: int, n: int, what: str = "element") -> int:
     return int(i)
 
 
+def _check_type(value, cls: type) -> None:
+    """The check of an argument whose fields are read: value must be a cls (a subclass passes)."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_color(c: int, i: int | None = None) -> None:
     """Check c, the color of fixed point i (unnamed when None): +1 or -1, not a bool."""
     if c.__class__ is bool or not isinstance(c, int) or c not in (-1, 1):
@@ -414,6 +420,7 @@ def dual(p: DecoratedPermutation) -> DecoratedPermutation:
     of the dual are the complements of the bases of p, so loops and coloops
     trade places.  dual(dual(p)) == p.
     """
+    _check_type(p, DecoratedPermutation)
     return _perm(p.inverse(), tuple((i, -c) for i, c in p.colors))
 
 
@@ -542,6 +549,7 @@ def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
     step rule carries it round: I_{r+1} is I_r with r swapped for its image
     when r is in I_r, and I_r otherwise.
     """
+    _check_type(p, DecoratedPermutation)
     images = p.images
     n = len(images)
     mask = 0
@@ -567,6 +575,7 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
     to j; when the entry repeats, i is a fixed point, colored -1 when i sits
     in I_i (coloop) and +1 otherwise (loop).
     """
+    _check_type(necklace, GrassmannNecklace)
     masks = necklace.masks
     n = len(masks)
     images = [0] * n
@@ -599,6 +608,7 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     so the coloops join each candidate and the rest are chosen among the
     elements in some entries but not all.
     """
+    _check_type(necklace, GrassmannNecklace)
     from itertools import combinations
 
     masks = necklace.masks
@@ -713,6 +723,7 @@ _PERM_TOKEN = re.compile(r"(\d+)([+-])?\Z")
 
 
 def format_perm(p: DecoratedPermutation) -> str:
+    _check_type(p, DecoratedPermutation)
     toks = []
     for i, v in enumerate(p.images, start=1):
         if v == i:
@@ -756,6 +767,7 @@ def parse_perm(text: str) -> DecoratedPermutation:
 
 
 def format_subset(s: Subset) -> str:
+    _check_type(s, Subset)
     return _format_mask(s.mask)
 
 
@@ -802,6 +814,7 @@ def _read_subset(text: str, s: str, n: int) -> Subset:
 
 
 def format_necklace(necklace: GrassmannNecklace) -> str:
+    _check_type(necklace, GrassmannNecklace)
     return ";".join(map(_format_mask, necklace.masks))
 
 
@@ -829,7 +842,8 @@ def parse_necklace(text: str) -> GrassmannNecklace:
 
 
 def format_bases(family: BasisFamily) -> str:
-    return ";".join(map(format_subset, family.sorted_bases()))
+    _check_type(family, BasisFamily)
+    return ";".join([_format_mask(s.mask) for s in family.sorted_bases()])
 
 
 def _infer_n(s: str) -> int:
@@ -863,6 +877,7 @@ def parse_bases(text: str, n: int | None = None) -> BasisFamily:
 
 
 def perm_to_obj(p: DecoratedPermutation) -> dict:
+    _check_type(p, DecoratedPermutation)
     return {
         "n": p.n,
         "perm": list(p.images),
@@ -871,6 +886,7 @@ def perm_to_obj(p: DecoratedPermutation) -> dict:
 
 
 def necklace_to_obj(necklace: GrassmannNecklace) -> dict:
+    _check_type(necklace, GrassmannNecklace)
     return {
         "n": necklace.n,
         "k": necklace.k,
@@ -879,6 +895,7 @@ def necklace_to_obj(necklace: GrassmannNecklace) -> dict:
 
 
 def bases_to_obj(family: BasisFamily) -> dict:
+    _check_type(family, BasisFamily)
     return {
         "n": family.n,
         "k": family.k,

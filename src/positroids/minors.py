@@ -31,6 +31,7 @@ from .core import (
     ValidationError,
     _Value,
     _check_element,
+    _check_type,
     _necklace,
     _perm,
     _shifted_max,
@@ -196,7 +197,11 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     # Carry the displaced image q clockwise from j+1, swapping it into place
     # wherever the branch test fires, until q comes to rest at the preimage
     # of j.  Positions outside the walk keep their images.  The test reads
-    # q <_t image(a) <_t j in the shifted order starting at t = a + 1.
+    # q <_t image(a) <_t j in the shifted order starting at t = a + 1.  With
+    # j among the images the walk ends within n - 1 steps; images without it
+    # are no permutation, and would walk round forever.
+    if j not in images:
+        raise ValidationError(f"no position maps to {j}; not a permutation")
     mu = list(images)
     mu[j - 1] = j
     q = images[j - 1]
@@ -363,6 +368,7 @@ def render_trace(trace: MinorTrace) -> str:
     elements, minor entries with minor images on the arrows, case labels.
     The final arrow wraps around to the first column.
     """
+    _check_type(trace, MinorTrace)
     rows = trace.rows
     tops = [_cell(r.entry) for r in rows]
     bots = [_cell(r.minor_entry) for r in rows]
@@ -390,6 +396,7 @@ def render_trace(trace: MinorTrace) -> str:
 
 
 def trace_to_obj(trace: MinorTrace) -> dict:
+    _check_type(trace, MinorTrace)
     return {
         "kind": trace.kind.value,
         "j": trace.j,

@@ -14,6 +14,15 @@ functions are the reference the bit helpers are tested against.  Each sweep
 builds the Schubert cells of every mask from every start once, n * 2^n bit
 vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 
+Many instances of a sweep give the same minor, and the same kept family (the
+bases through or avoiding j).  So each sweep also keeps two tables
+(`_Sweep`): one keyed by a minor permutation's images and colours, holding
+its necklace's masks and their family bits, and one keyed by a kept family's
+bit vector, holding its Gale minima.  Both are pure functions of their keys,
+so a read returns what the call would have, and every check still runs on
+every instance; the report cannot change.  A table is emptied when it holds
+`SWEEP_TABLE_CAP` entries and is dropped when its sweep returns.
+
 `check_matroid` numbers the bases instead and tests basis exchange on one
 witness plane per element, with no 2^n-bit vector, at every n up to 64.
 """
@@ -33,6 +42,7 @@ from .core import (
     _Value,
     _check_count,
     _check_element,
+    _check_type,
     _family,
     _necklace,
     _perm,
@@ -53,6 +63,11 @@ from .minors import (
 )
 
 ENUMERATION_CAP = 10
+
+# Entries one table of a sweep holds before it is emptied (`_Sweep`).  Every
+# table of n <= 6 fits; a serial n = 8 sweep peaked at 24 MiB with this cap
+# and at 84 MiB with none, against 16 MiB with no tables (Python 3.11, x86-64).
+SWEEP_TABLE_CAP = 1 << 13
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
 
@@ -83,6 +98,7 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
     The minima of a matroid's bases form its Grassmann necklace; for a family
     that is not a matroid they need not, and come back unchecked all the same.
     """
+    _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family has no necklace")
     n = family.n
@@ -94,6 +110,7 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
 
 def is_positroid(family: BasisFamily) -> bool:
     """Whether the family is exactly cut out by its own Gale minima."""
+    _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
     return bases_of(oracle_necklace(family)).bases == family.bases
@@ -112,6 +129,7 @@ def check_matroid(family: BasisFamily) -> bool:
     statement.  The cost is |F| * k * (n - k) set lookups and m-bit ANDs
     instead of a scan of every pair of bases.
     """
+    _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
     n = family.n
@@ -266,17 +284,27 @@ def _gale_minima(bits, planes):
     return tuple(minima)
 
 
-def _verify_instance(p, necklace, family, j, kind, uppers, planes, ground):
+def _verify_instance(p, necklace, family, j, kind, sweep):
     """Run every oracle comparison for one (perm, j, kind) instance.
 
     Returns (degenerate, failure tags).  Degenerate instances only assert
     the identity convention; everything else is checked against the brute
     force route and the structural expectations (j becomes a loop, rank
     drops by one under contraction and holds under restriction).  `family`
-    is p's basis family as a bit vector, `uppers` the sweep's table of
-    Schubert cells for `_family_bits`, `planes` its element planes and
-    `ground` the set {1..n}.  The per-kind routines and the bit helpers are
-    looked up when called, so a patched module binding is the one checked.
+    is p's basis family as a bit vector and `sweep` the sweep's `_Sweep`.
+    The per-kind routines and the bit helpers are looked up when called, so
+    a patched module binding is the one checked.
+
+    Two results come from the sweep's tables.  `sweep.minor` is keyed by the
+    minor permutation, its images and colours, and gives the masks of its
+    necklace and their family bits, for the "oracle", "necklace-agreement"
+    and "structure" checks.  `sweep.kept_minima` is keyed by the kept
+    family's bit vector and gives its Gale minima, None when it is empty.
+    The first instance that meets a key makes the calls and later ones read
+    them back; a call that raises stores nothing, so its instance fails
+    under "raised" as before.  A table holds at most `SWEEP_TABLE_CAP`
+    entries.  As the calls are pure, every check sees the inputs it would
+    see with no table, in the same order, and the report cannot change.
     """
     failures = []
     n, k = necklace.n, necklace.k
@@ -284,31 +312,32 @@ def _verify_instance(p, necklace, family, j, kind, uppers, planes, ground):
     result = (contract if contracting else restrict)(p, j)
     # the walks build their results unchecked: images that are not a
     # permutation go through the checking constructor, which raises
-    if frozenset(result.images) != ground:
+    if frozenset(result.images) != sweep.ground:
         DecoratedPermutation(result.images, result.colors)
     if _degenerate(p, j, contracting):
-        if result != DecoratedPermutation.identity(n, 1):
+        if result != sweep.identity:
             failures.append("convention")
         return True, failures
     # the bases through j when contracting, avoiding j when restricting;
     # avoiding j they are the oracle's deletion itself
+    planes = sweep.planes
     bit = 1 << (j - 1)
     if contracting:
         oracle_family = _contract_bits(family, planes, j)
         kept = family & planes[j - 1]
     else:
         oracle_family = kept = _delete_bits(family, planes, j)
-    result_necklace = necklace_of(result)
-    if _family_bits(uppers, result_necklace.masks) != oracle_family:
+    result_masks, result_family = sweep.minor(result)
+    if result_family != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
-    kept_minima = _gale_minima(kept, planes)
+    kept_minima = sweep.kept_minima(kept)
     if kept_minima != minor_necklace.masks:
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
-    agreed = _necklace(tuple([m & ~bit for m in minor_necklace.masks])) if contracting else minor_necklace
-    if result_necklace != agreed:
+    agreed = tuple([m & ~bit for m in minor_necklace.masks]) if contracting else minor_necklace.masks
+    if result_masks != agreed:
         failures.append("necklace-agreement")
     if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
         failures.append("color-flip")
@@ -323,9 +352,9 @@ def _verify_instance(p, necklace, family, j, kind, uppers, planes, ground):
     minima = kept_minima
     if contracting and minima is not None:
         minima = tuple([m & ~bit for m in minima])
-    if minima is None or _family_bits(uppers, minima) != oracle_family:
+    if minima is None or _family_bits(sweep.uppers, minima) != oracle_family:
         failures.append("closure")
-    if loop_coloop_status(result, j) != "loop" or result_necklace.k != (k - 1 if contracting else k):
+    if loop_coloop_status(result, j) != "loop" or result_masks[0].bit_count() != (k - 1 if contracting else k):
         failures.append("structure")
     return False, failures
 
@@ -360,6 +389,55 @@ def _family_bits(uppers, masks):
     return reduce(and_, [row[mask] for row, mask in zip(uppers, masks)])
 
 
+_MISSING = object()
+
+
+class _Sweep:
+    """What one sweep of size n builds once and reads for every instance.
+
+    `uppers` are the Schubert cells of `_family_bits`, `planes` the element
+    planes, `ground` the set {1..n} and `identity` the degenerate
+    convention's all-loop permutation.  `minors` and `kept` are the two
+    tables of `_verify_instance`.  A miss calls `necklace_of`, `_family_bits`
+    and `_gale_minima` through their module bindings.  A table that holds
+    `SWEEP_TABLE_CAP` entries is emptied before its next one, which bounds a
+    worker's memory at every n; the sweep owns its tables, so each worker
+    of a parallel sweep has its own, and they go when the sweep returns.
+    """
+
+    def __init__(self, n):
+        self.uppers = _schubert_cells(n)
+        self.planes = _element_planes(n)
+        self.ground = frozenset(range(1, n + 1))
+        self.identity = DecoratedPermutation.identity(n, 1)
+        self.minors = {}
+        self.kept = {}
+
+    def minor(self, result):
+        """The masks of necklace_of(result) and their family bits: the minor's own route to the oracle."""
+        key = (result.images, result.colors)
+        known = self.minors.get(key)
+        if known is None:
+            masks = necklace_of(result).masks
+            known = _keep(self.minors, key, (masks, _family_bits(self.uppers, masks)))
+        return known
+
+    def kept_minima(self, kept):
+        """_gale_minima(kept, planes): the kept family's entry masks, or None when it is empty."""
+        minima = self.kept.get(kept, _MISSING)
+        if minima is _MISSING:
+            minima = _keep(self.kept, kept, _gale_minima(kept, self.planes))
+        return minima
+
+
+def _keep(table, key, value):
+    """Store value under key, emptying a full table first; returns value."""
+    if len(table) >= SWEEP_TABLE_CAP:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def _sweep(n, kind_values, stride, offset):
     """One worker's share of the sweep: perms whose index hits the offset."""
     kinds = sorted((MinorKind(v) for v in kind_values), key=lambda kk: kk.value)
@@ -374,9 +452,8 @@ def _sweep(n, kind_values, stride, offset):
             check_failures[tag] = check_failures.get(tag, 0) + 1
         if first_key is None or key < first_key:
             first_key, first_msg = key, msg
-    uppers = _schubert_cells(n)
-    planes = _element_planes(n)
-    ground = frozenset(range(1, n + 1))
+    sweep = _Sweep(n)
+    uppers, planes = sweep.uppers, sweep.planes
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride != offset:
             continue
@@ -394,7 +471,7 @@ def _sweep(n, kind_values, stride, offset):
         for j in range(1, n + 1):
             for kind in kinds:
                 try:
-                    skipped, fails = _verify_instance(p, necklace, family, j, kind, uppers, planes, ground)
+                    skipped, fails = _verify_instance(p, necklace, family, j, kind, sweep)
                     shown = fails
                 except Exception as err:
                     # an invalid value built by a routine under test, or its crash, fails the instance, not the sweep

@@ -156,6 +156,13 @@ class TestPermMinors:
         assert format_perm(contract(p, 2)) == "1+,2+"
         assert format_perm(restrict(p, 2)) == "1-,2+"
 
+    def test_walk_without_a_preimage_of_j_ends(self):
+        # images built unchecked, with no position mapping to j: the walk
+        # would go round looking for the preimage of j
+        with pytest.raises(ValidationError) as err:
+            contract(positroids.core._perm((2, 2, 1), ()), 3)
+        assert str(err.value) == "no position maps to 3; not a permutation"
+
     def test_contract_coloop_recolors_only(self):
         p = DecoratedPermutation.of((1, 3, 2), {1: -1})
         out = contract(p, 1)

@@ -1,6 +1,7 @@
 """Brute-force minors, recognition, enumeration, and the sweep verifier."""
 
 import concurrent.futures
+import weakref
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -156,7 +157,7 @@ class TestVerifyAll:
         assert report.instances_checked + report.degenerate_skipped == 16 * 3
 
     def test_parallel_matches_serial(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             serial = verify_all(n, jobs=1)
             parallel = verify_all(n, jobs=2)
             for field in ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches",
@@ -255,6 +256,55 @@ class TestBasesMemo:
         assert report.check_failures.get("oracle", 0) > 0
         assert report.first_failure.startswith(f"n=4 perm=4,3,2,1 j=2 kind={kind}: ")
         assert "oracle" in report.first_failure.split(": ", 1)[1].split(", ")
+
+
+def report_fields(report):
+    """The report as an object, less its elapsed time."""
+    obj = report.to_obj()
+    del obj["elapsed"]
+    return obj
+
+
+class TestSweepTables:
+    """The sweep's tables of minor results and kept minima change no report and end with the sweep."""
+
+    def test_a_small_cap_empties_the_tables_and_changes_no_report(self, monkeypatch):
+        expected = report_fields(verify_all(4))
+        sizes = {}
+        real = positroids.oracle._keep
+
+        def keep(table, key, value):
+            value = real(table, key, value)
+            sizes.setdefault(id(table), []).append(len(table))
+            return value
+
+        monkeypatch.setattr(positroids.oracle, "SWEEP_TABLE_CAP", 3)
+        monkeypatch.setattr(positroids.oracle, "_keep", keep)
+        assert report_fields(verify_all(4)) == expected
+        assert len(sizes) == 2
+        for seen in sizes.values():
+            # never above the cap, and emptied more than once
+            assert max(seen) == 3
+            assert seen.count(1) > 2
+
+    def test_no_table_outlives_the_sweep(self, monkeypatch):
+        class Table(dict):
+            pass
+
+        tables = []
+
+        class Sweep(positroids.oracle._Sweep):
+            def __init__(self, n):
+                super().__init__(n)
+                self.minors, self.kept = Table(), Table()
+                tables.extend([self.minors, self.kept])
+
+        monkeypatch.setattr(positroids.oracle, "_Sweep", Sweep)
+        verify_all(4)
+        assert len(tables) == 2 and all(tables)  # both were read and filled
+        refs = [weakref.ref(table) for table in tables]
+        tables.clear()
+        assert [ref() for ref in refs] == [None, None]
 
 
 def assert_bits_match_the_set_oracle(family):
