@@ -197,22 +197,24 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     # Carry the displaced image q clockwise from j+1, swapping it into place
     # wherever the branch test fires, until q comes to rest at the preimage
     # of j.  Positions outside the walk keep their images.  The test reads
-    # q <_t image(a) <_t j in the shifted order starting at t = a + 1.  With
-    # j among the images the walk ends within n - 1 steps; images without it
-    # are no permutation, and would walk round forever.
-    if j not in images:
-        raise ValidationError(f"no position maps to {j}; not a permutation")
+    # q <_t image(a) <_t j in the shifted order starting at t = a + 1.  The
+    # preimage is one of the n - 1 positions after j, so the walk stops there
+    # at the latest; images with no j are no permutation.
     mu = list(images)
     mu[j - 1] = j
     q = images[j - 1]
-    a = j % n + 1
-    while images[a - 1] != j:
+    t = j % n + 1
+    for _ in range(n - 1):
+        a = t
         pa = images[a - 1]
+        if pa == j:
+            break
         t = a % n + 1
         if q == a or ((q - t) % n < (pa - t) % n < (j - t) % n):
             mu[a - 1] = q
             q = pa
-        a = t
+    else:
+        raise ValidationError(f"the walk from {j} met no preimage of {j} in {n - 1} positions")
     mu[a - 1] = q
     return _perm(tuple(mu), tuple(_rebuild_colors(p, mu).items()))
 

@@ -161,7 +161,7 @@ class TestPermMinors:
         # would go round looking for the preimage of j
         with pytest.raises(ValidationError) as err:
             contract(positroids.core._perm((2, 2, 1), ()), 3)
-        assert str(err.value) == "no position maps to 3; not a permutation"
+        assert str(err.value) == "the walk from 3 met no preimage of 3 in 2 positions"
 
     def test_contract_coloop_recolors_only(self):
         p = DecoratedPermutation.of((1, 3, 2), {1: -1})
