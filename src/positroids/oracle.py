@@ -14,14 +14,12 @@ functions are the reference the bit helpers are tested against.  Each sweep
 builds the Schubert cells of every mask from every start once, n * 2^n bit
 vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 
-Many instances of a sweep give the same minor, and the same kept family (the
-bases through or avoiding j).  So each sweep also keeps two tables
-(`_Sweep`): one keyed by a minor permutation's images and colours, holding
-its necklace's masks and their family bits, and one keyed by a kept family's
-bit vector, holding its Gale minima.  Both are pure functions of their keys,
-so a read returns what the call would have, and every check still runs on
-every instance; the report cannot change.  A table is emptied when it holds
-`SWEEP_TABLE_CAP` entries and is dropped when its sweep returns.
+Many instances of a sweep give the same minor permutation, or keep the same
+bases through or avoiding j, so each sweep (`_Sweep`) keeps two tables: a
+minor's necklace masks and family bits, and a kept family's Gale minima.
+`_verify_instance` says why they cannot change the report.  A table is
+emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep returns, so
+each worker of a parallel sweep has its own.
 
 `check_matroid` numbers the bases instead and tests basis exchange on one
 witness plane per element, with no 2^n-bit vector, at every n up to 64.
@@ -296,18 +294,17 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     a patched module binding is the one checked.
 
     Two results come from the sweep's tables.  `sweep.minor` is keyed by the
-    minor permutation, its images and colours, and gives the masks of its
-    necklace and their family bits, for the "oracle", "necklace-agreement"
-    and "structure" checks.  `sweep.kept_minima` is keyed by the kept
-    family's bit vector and gives its Gale minima, None when it is empty.
-    The first instance that meets a key makes the calls and later ones read
-    them back; a call that raises stores nothing, so its instance fails
-    under "raised" as before.  A table holds at most `SWEEP_TABLE_CAP`
-    entries.  As the calls are pure, every check sees the inputs it would
-    see with no table, in the same order, and the report cannot change.
+    minor permutation, images and colours, and gives its necklace's masks
+    and their family bits for the "oracle", "necklace-agreement" and
+    "structure" checks.  `sweep.kept_minima` is keyed by the kept family's
+    bit vector and gives its Gale minima, None when it is empty.  Each table
+    holds at most `SWEEP_TABLE_CAP` entries.  The calls they stand for are
+    pure and a call that raises stores nothing, so every check sees the
+    inputs, and every instance the exceptions, that it would with no table,
+    and the report cannot change.
     """
     failures = []
-    n, k = necklace.n, necklace.k
+    k = necklace.k
     contracting = kind is MinorKind.CONTRACTION
     result = (contract if contracting else restrict)(p, j)
     # the walks build their results unchecked: images that are not a
@@ -397,12 +394,10 @@ class _Sweep:
 
     `uppers` are the Schubert cells of `_family_bits`, `planes` the element
     planes, `ground` the set {1..n} and `identity` the degenerate
-    convention's all-loop permutation.  `minors` and `kept` are the two
-    tables of `_verify_instance`.  A miss calls `necklace_of`, `_family_bits`
-    and `_gale_minima` through their module bindings.  A table that holds
-    `SWEEP_TABLE_CAP` entries is emptied before its next one, which bounds a
-    worker's memory at every n; the sweep owns its tables, so each worker
-    of a parallel sweep has its own, and they go when the sweep returns.
+    convention's all-loop permutation.  `minors` and `kept` are the tables
+    that `_verify_instance` reads.  A miss calls `necklace_of`,
+    `_family_bits` and `_gale_minima` through their module bindings, so a
+    fault planted there is still seen.
     """
 
     def __init__(self, n):
