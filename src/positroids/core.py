@@ -23,12 +23,13 @@ sets are capped at 64 elements so subsets fit in a machine word.
 Validation happens once, at the boundary: the public constructors and their
 builders, the parsers and the public functions check what they are given, each
 input rule through its one checker (`_check_count`, `_check_element`,
-`_check_color`).  Values built from values already checked are made with the
-private `_subset`, `_perm`, `_necklace` and `_family`, which skip the checks,
-and the hot loops and the checks themselves read masks and image tuples
-directly.  The walks `minors.contract` and `restrict` build their results
-unchecked too, and the sweep guards that each is a permutation, so that a
-faulty walk is reported rather than trusted.  One exception:
+`_check_color`, and `_check_type` for an argument of another type).  Values
+built from values already checked are made with the private `_subset`,
+`_perm`, `_necklace` and `_family`, which skip the checks, and the hot loops
+and the checks themselves read masks and image tuples directly.  The walks
+`minors.contract` and `restrict` build their results unchecked too, and the
+sweep guards that each is a permutation, so that a faulty walk is reported
+rather than trusted.  One exception:
 `oracle.oracle_necklace` returns the Gale minima of any family unchecked,
 and for a family that is not a matroid they need not form a Grassmann
 necklace.
@@ -368,8 +369,9 @@ class DecoratedPermutation(_Value):
 
     def inverse(self) -> tuple[int, ...]:
         """One-line notation of the inverse permutation."""
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
+        images = self.images
+        inv = [0] * len(images)
+        for i, v in enumerate(images, start=1):
             inv[v - 1] = i
         return tuple(inv)
 
@@ -385,8 +387,10 @@ class DecoratedPermutation(_Value):
 
     def with_color(self, i: int, color: int) -> "DecoratedPermutation":
         _check_color(color)
-        self.color(i)  # raises when i is not fixed
-        return _perm(self.images, tuple((j, color if j == i else c) for j, c in self.colors))
+        colors = tuple([(j, color if j == i else c) for j, c in self.colors])
+        if (i, color) not in colors:
+            raise ValidationError(f"{i} is not a fixed point")
+        return _perm(self.images, colors)
 
     def __repr__(self) -> str:
         return f"DecoratedPermutation({format_perm(self)!r})"
@@ -407,6 +411,7 @@ def loop_coloop_status(p: DecoratedPermutation, i: int) -> str:
     Loops are +1 fixed points, coloops are -1 fixed points; everything else
     is in some basis but not all of them.
     """
+    _check_type(p, DecoratedPermutation)
     i = _check_element(i, p.n)
     if p.images[i - 1] != i:
         return "neither"
@@ -421,7 +426,7 @@ def dual(p: DecoratedPermutation) -> DecoratedPermutation:
     trade places.  dual(dual(p)) == p.
     """
     _check_type(p, DecoratedPermutation)
-    return _perm(p.inverse(), tuple((i, -c) for i, c in p.colors))
+    return _perm(p.inverse(), tuple([(i, -c) for i, c in p.colors]))
 
 
 class GrassmannNecklace(_Value):
@@ -573,7 +578,8 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
 
     Read off the steps: when I_{i+1} swaps i for j the permutation sends i
     to j; when the entry repeats, i is a fixed point, colored -1 when i sits
-    in I_i (coloop) and +1 otherwise (loop).
+    in I_i (coloop) and +1 otherwise (loop).  Images that are not a
+    permutation (an unchecked necklace's) go to the checking constructor.
     """
     _check_type(necklace, GrassmannNecklace)
     masks = necklace.masks
@@ -594,6 +600,9 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
         images[i - 1] = j
         if j == i:
             colors[i] = -1
+    # every image is at least 1, so n distinct ones up to n are a permutation
+    if len(set(images)) == n and max(images) <= n:
+        return _perm(tuple(images), tuple(colors.items()))
     return DecoratedPermutation.of(tuple(images), colors)
 
 
@@ -734,6 +743,7 @@ def format_perm(p: DecoratedPermutation) -> str:
 
 
 def parse_perm(text: str) -> DecoratedPermutation:
+    _check_type(text, str)
     s = "".join(text.split())
     if not s:
         raise ValidationError("empty decorated permutation")
@@ -794,6 +804,7 @@ def _token_mask(s: str) -> int:
 
 
 def parse_subset(text: str, n: int) -> Subset:
+    _check_type(text, str)
     return _read_subset(text, "".join(text.split()), n)
 
 
@@ -820,6 +831,7 @@ def format_necklace(necklace: GrassmannNecklace) -> str:
 
 def parse_necklace(text: str) -> GrassmannNecklace:
     """Parse and validate a semicolon-joined necklace; n is the entry count."""
+    _check_type(text, str)
     s = "".join(text.split())
     parts = s.split(";")
     n = len(parts)
@@ -868,6 +880,7 @@ def _infer_n(s: str) -> int:
 
 
 def parse_bases(text: str, n: int | None = None) -> BasisFamily:
+    _check_type(text, str)
     s = "".join(text.split())
     if not s:
         raise ValidationError("empty basis family")

@@ -79,6 +79,7 @@ def _require_minor(necklace: GrassmannNecklace, j: int, contracting: bool, *posi
     j and then each position lie in 1..n, and j is not a loop (missing from
     I_j) when contracting, nor a coloop (still in I_{j+1}) when restricting.
     """
+    _check_type(necklace, GrassmannNecklace)
     n = necklace.n
     j = _check_element(j, n)
     for a in positions:
@@ -163,7 +164,7 @@ def _check_kind(kind: MinorKind) -> None:
 def _rebuild_colors(p: DecoratedPermutation, mu: list[int]) -> dict[int, int]:
     # p's fixed points keep their colors, the walk's new ones are loops; keys increase
     old = dict(p.colors)
-    return {i: old.get(i, 1) for i in range(1, len(mu) + 1) if mu[i - 1] == i}
+    return {i: old.get(i, 1) for i, v in enumerate(mu, 1) if v == i}
 
 
 def _degenerate(p: DecoratedPermutation, j: int, contracting: bool) -> bool:
@@ -172,13 +173,17 @@ def _degenerate(p: DecoratedPermutation, j: int, contracting: bool) -> bool:
 
 
 def _fixed_minor(p: DecoratedPermutation, j: int, contracting: bool) -> DecoratedPermutation:
-    # the fixed-j rule: the identity when degenerate, else j recolored a loop
-    return DecoratedPermutation.identity(p.n, 1) if _degenerate(p, j, contracting) else p.with_color(j, 1)
+    # the fixed-j rule: the identity with every point a loop when degenerate, else j recolored a loop
+    if _degenerate(p, j, contracting):
+        ground = range(1, p.n + 1)
+        return _perm(tuple(ground), tuple([(i, 1) for i in ground]))
+    return p.with_color(j, 1)
 
 
 def is_degenerate(p: DecoratedPermutation, j: int, kind: MinorKind) -> bool:
     """True when the minor falls back to the identity convention."""
     _check_kind(kind)
+    _check_type(p, DecoratedPermutation)
     return _degenerate(p, _check_element(j, p.n), kind is MinorKind.CONTRACTION)
 
 
@@ -189,6 +194,7 @@ def contract(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
     bases are the bases of p through j, with j removed.  A fixed j follows
     the fixed-j rule (module docstring).
     """
+    _check_type(p, DecoratedPermutation)
     j = _check_element(j, p.n)
     images = p.images
     if images[j - 1] == j:
@@ -224,15 +230,23 @@ def restrict(p: DecoratedPermutation, j: int) -> DecoratedPermutation:
 
     The result lives on the same ground set with j turned into a loop; its
     bases are the bases of p avoiding j.  A fixed j follows the fixed-j
-    rule.  Otherwise deletion is contraction in the dual: the bases of
-    p avoiding j are the complements of the dual's bases through j, so the
+    rule.  Otherwise deletion is contraction in the dual: the bases of p
+    avoiding j are the complements of the dual's bases through j, so the
     walk runs on dual(p), and dualising back leaves j a coloop of the
-    complemented family, recolored as the loop it is after deletion.
+    complemented family, recolored as the loop it is after deletion: the
+    route is dual(contract(dual(p), j)).with_color(j, 1), its last two steps
+    taken in one pass.
     """
+    _check_type(p, DecoratedPermutation)
     j = _check_element(j, p.n)
     if p.images[j - 1] == j:
         return _fixed_minor(p, j, False)
-    return dual(contract(dual(p), j)).with_color(j, 1)
+    walked = contract(dual(p), j)
+    images = walked.inverse()
+    colors = tuple([(i, 1 if i == j else -c) for i, c in walked.colors])
+    if (j, 1) not in colors:
+        raise ValidationError(f"{j} is not a fixed point")
+    return _perm(images, colors)
 
 
 class MinorResult(_Value):
@@ -290,6 +304,8 @@ def classify_square(
     not fixed (fixed j has no walk to classify).
     """
     _check_kind(kind)
+    _check_type(p, DecoratedPermutation)
+    _check_type(necklace, GrassmannNecklace)
     j = _check_element(j, p.n)
     _check_element(a, p.n)
     if p.images[j - 1] == j:
@@ -331,6 +347,7 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     exactly, and consecutive rows satisfy the necklace step rule.
     """
     _check_kind(kind)
+    _check_type(p, DecoratedPermutation)
     j = _check_element(j, p.n)
     if p.images[j - 1] == j:
         raise PreconditionError(f"{j} is a fixed point; there is no walk to trace")

@@ -17,7 +17,8 @@ vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 Many instances of a sweep give the same minor permutation, or keep the same
 bases through or avoiding j, so each sweep (`_Sweep`) keeps two tables: a
 minor's necklace masks and family bits, and a kept family's Gale minima.
-`_verify_instance` says why they cannot change the report.  A table is
+The closure check reuses the former when its minima equal the minor's masks.
+`_verify_instance` says why neither can change the report.  A table is
 emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep returns, so
 each worker of a parallel sweep has its own.
 
@@ -65,6 +66,8 @@ ENUMERATION_CAP = 10
 # Entries one table of a sweep holds before it is emptied (`_Sweep`).  Every
 # table of n <= 6 fits; a serial n = 8 sweep peaked at 24 MiB with this cap
 # and at 84 MiB with none, against 16 MiB with no tables (Python 3.11, x86-64).
+# Evicting the older half instead stored 10% fewer entries at n = 8 but took
+# as long and peaked 1.4 MiB higher, so a full table is emptied.
 SWEEP_TABLE_CAP = 1 << 13
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
@@ -76,6 +79,7 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
     Empty when j is a loop; the sentinel empty family is returned rather
     than raising, since callers probing arbitrary j expect it.
     """
+    _check_type(family, BasisFamily)
     n = family.n
     _check_element(j, n)
     bit = 1 << (j - 1)
@@ -85,6 +89,7 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
 
 def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
     """Bases avoiding j.  Empty (sentinel) when j is a coloop."""
+    _check_type(family, BasisFamily)
     _check_element(j, family.n)
     bit = 1 << (j - 1)
     return _family(family.n, family.k, frozenset(h for h in family.bases if not h.mask & bit))
@@ -293,15 +298,18 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     The per-kind routines and the bit helpers are looked up when called, so
     a patched module binding is the one checked.
 
-    Two results come from the sweep's tables.  `sweep.minor` is keyed by the
-    minor permutation, images and colours, and gives its necklace's masks
-    and their family bits for the "oracle", "necklace-agreement" and
-    "structure" checks.  `sweep.kept_minima` is keyed by the kept family's
-    bit vector and gives its Gale minima, None when it is empty.  Each table
+    Two results come from the sweep's tables, each read with one `get` and
+    filled on a miss by `_Sweep`.  `sweep.minors` is keyed by the minor
+    permutation, images and colours, and gives its necklace's masks and
+    their family bits for the "oracle", "necklace-agreement", "structure"
+    and "closure" checks.  `sweep.kept` is keyed by the kept family's bit
+    vector and gives its Gale minima, None when it is empty.  Each table
     holds at most `SWEEP_TABLE_CAP` entries.  The calls they stand for are
     pure and a call that raises stores nothing, so every check sees the
     inputs, and every instance the exceptions, that it would with no table,
-    and the report cannot change.
+    and the report cannot change.  Nor can the closure check's reuse: it
+    takes those family bits only when its minima equal the minor's masks,
+    and `_family_bits` of equal masks is an equal value.
     """
     failures = []
     k = necklace.k
@@ -324,12 +332,16 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
         kept = family & planes[j - 1]
     else:
         oracle_family = kept = _delete_bits(family, planes, j)
-    result_masks, result_family = sweep.minor(result)
+    key = (result.images, result.colors)
+    result_masks, result_family = sweep.minors.get(key) or sweep.add_minor(key, result)
     if result_family != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
-    kept_minima = sweep.kept_minima(kept)
-    if kept_minima != minor_necklace.masks:
+    kept_minima = sweep.kept.get(kept, _MISSING)
+    if kept_minima is _MISSING:
+        kept_minima = sweep.add_kept(kept)
+    formula_holds = kept_minima == minor_necklace.masks
+    if not formula_holds:
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
@@ -348,8 +360,10 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     # which contracting are kept_minima less j, as every kept basis holds j
     minima = kept_minima
     if contracting and minima is not None:
-        minima = tuple([m & ~bit for m in minima])
-    if minima is None or _family_bits(sweep.uppers, minima) != oracle_family:
+        minima = agreed if formula_holds else tuple([m & ~bit for m in minima])
+    if minima is None:
+        failures.append("closure")
+    elif (result_family if minima == result_masks else _family_bits(sweep.uppers, minima)) != oracle_family:
         failures.append("closure")
     if loop_coloop_status(result, j) != "loop" or result_masks[0].bit_count() != (k - 1 if contracting else k):
         failures.append("structure")
@@ -395,9 +409,9 @@ class _Sweep:
     `uppers` are the Schubert cells of `_family_bits`, `planes` the element
     planes, `ground` the set {1..n} and `identity` the degenerate
     convention's all-loop permutation.  `minors` and `kept` are the tables
-    that `_verify_instance` reads.  A miss calls `necklace_of`,
-    `_family_bits` and `_gale_minima` through their module bindings, so a
-    fault planted there is still seen.
+    that `_verify_instance` reads, and `add_minor` and `add_kept` fill them
+    on a miss, calling `necklace_of`, `_family_bits` and `_gale_minima`
+    through their module bindings, so a fault planted there is still seen.
     """
 
     def __init__(self, n):
@@ -408,21 +422,14 @@ class _Sweep:
         self.minors = {}
         self.kept = {}
 
-    def minor(self, result):
-        """The masks of necklace_of(result) and their family bits: the minor's own route to the oracle."""
-        key = (result.images, result.colors)
-        known = self.minors.get(key)
-        if known is None:
-            masks = necklace_of(result).masks
-            known = _keep(self.minors, key, (masks, _family_bits(self.uppers, masks)))
-        return known
+    def add_minor(self, key, result):
+        """Store and return, under key, the masks of necklace_of(result) and their family bits."""
+        masks = necklace_of(result).masks
+        return _keep(self.minors, key, (masks, _family_bits(self.uppers, masks)))
 
-    def kept_minima(self, kept):
-        """_gale_minima(kept, planes): the kept family's entry masks, or None when it is empty."""
-        minima = self.kept.get(kept, _MISSING)
-        if minima is _MISSING:
-            minima = _keep(self.kept, kept, _gale_minima(kept, self.planes))
-        return minima
+    def add_kept(self, kept):
+        """Store and return _gale_minima(kept, planes), None when the kept family is empty."""
+        return _keep(self.kept, kept, _gale_minima(kept, self.planes))
 
 
 def _keep(table, key, value):

@@ -5,7 +5,8 @@ loads this module on the first read of one of its names, and a one-shot command 
 """
 
 from .core import (
-    Subset, ValidationError, _check_count, _check_element, _gale_bounds, _shifted_max, _shifted_min, _subset,
+    Subset, ValidationError, _check_count, _check_element, _check_type, _gale_bounds, _shifted_max, _shifted_min,
+    _subset,
 )
 
 
@@ -69,12 +70,14 @@ def gale_extremum(d: Subset, t: int, direction: str = "max") -> int:
     """Largest or smallest member of d in the shifted order starting at t."""
     if direction not in ("max", "min"):
         raise ValidationError(f"direction must be 'max' or 'min', got {direction!r}")
+    _check_type(d, Subset)
     _check_element(t, d.n, "start")
     return (_shifted_max if direction == "max" else _shifted_min)(d.mask, t)
 
 
 def necklace_step(entry: Subset, i: int, image: int) -> Subset:
     """Successor entry under the step rule when the permutation sends i to image."""
+    _check_type(entry, Subset)
     i = _check_element(i, entry.n)
     image = _check_element(image, entry.n, "image")
     if i not in entry:

@@ -18,6 +18,7 @@ from positroids import (
     contract,
     contract_necklace,
     contraction_swap,
+    dual,
     enumerate_decorated_perms,
     format_necklace,
     format_perm,
@@ -207,6 +208,32 @@ class TestPermMinors:
             for op in (contract, restrict):
                 out = op(perm, j)
                 assert out.image(j) == j and out.color(j) == 1
+
+
+class TestRestrictRoute:
+    """restrict builds in one pass the value of its documented route through the dual."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_pass_matches_the_route_through_the_dual(self, n):
+        for p in enumerate_decorated_perms(n):
+            for j in range(1, n + 1):
+                if p.images[j - 1] != j:
+                    out = restrict(p, j)
+                    assert out == dual(contract(dual(p), j)).with_color(j, 1)
+                    assert out == DecoratedPermutation(out.images, out.colors)  # valid as built
+
+    @pytest.mark.parametrize("kind", list(MinorKind))
+    def test_degenerate_instances_give_the_all_loop_identity(self, kind):
+        op = contract if kind is MinorKind.CONTRACTION else restrict
+        for n in range(1, 7):
+            identity = DecoratedPermutation.identity(n, 1)
+            seen = 0
+            for p in enumerate_decorated_perms(n):
+                for j in p.fixed_points:
+                    if is_degenerate(p, j, kind):
+                        assert op(p, j) == identity
+                        seen += 1
+            assert seen > 0
 
 
 class TestClassification:

@@ -344,6 +344,18 @@ def test_restriction_agrees_entrywise(p, data):
     assert necklace_of(restrict(p, j)) == restrict_necklace(necklace_of(p), j)
 
 
+@given(decorated_perms(max_n=64, min_n=2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_restrict_is_its_route_through_the_dual(p, data):
+    # restrict builds this value in one pass
+    j = data.draw(st.sampled_from([i for i in range(1, p.n + 1) if p.images[i - 1] != i] or [None]))
+    if j is None:
+        return
+    out = restrict(p, j)
+    assert out == dual(contract(dual(p), j)).with_color(j, 1)
+    assert out == DecoratedPermutation(out.images, out.colors)  # valid as built
+
+
 @given(decorated_perms(max_n=6), st.data())
 @settings(max_examples=40, deadline=None)
 def test_minor_composition_matches_oracle(p, data):
