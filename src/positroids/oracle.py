@@ -17,10 +17,10 @@ vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 Many instances of a sweep give the same minor permutation, or keep the same
 bases through or avoiding j, so each sweep (`_Sweep`) keeps two tables: a
 minor's necklace masks and family bits, and a kept family's Gale minima.
-The closure check reuses the former when its minima equal the minor's masks.
-`_verify_instance` says why neither can change the report.  A table is
-emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep returns, so
-each worker of a parallel sweep has its own.
+The closure check reads its family off the first when its minima equal the
+minor's masks.  `_verify_instance` says why neither can change the report.
+A table is emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep
+returns, so each worker of a parallel sweep has its own.
 
 `check_matroid` numbers the bases instead and tests basis exchange on one
 witness plane per element, with no 2^n-bit vector, at every n up to 64.
