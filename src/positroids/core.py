@@ -211,8 +211,7 @@ class Subset(_Value):
         return _subset(self.n, self.mask & ~(1 << (_check_element(e, self.n) - 1)))
 
     def _same_ground(self, other: "Subset") -> None:
-        if not isinstance(other, Subset):
-            raise TypeError(f"expected a Subset, got {type(other).__name__}")
+        _check_type(other, Subset)
         if other.n != self.n:
             raise ValidationError(f"mixed ground sets: n={self.n} vs n={other.n}")
 
@@ -501,7 +500,7 @@ def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
         return [NecklaceViolation(0, "shape", "no entries")]
     for idx, e in enumerate(entries, start=1):
         if not isinstance(e, Subset):
-            raise TypeError(f"entry {idx} is not a Subset")
+            raise ValidationError(f"entry {idx} is not a Subset")
     n = entries[0].n
     out = [NecklaceViolation(idx, "shape", f"ground set n={e.n} differs from n={n}")
            for idx, e in enumerate(entries, start=1) if e.n != n]
@@ -667,6 +666,8 @@ class BasisFamily(_Value):
         collected = set()
         k = None
         for s in sets:
+            if not isinstance(s, Iterable):
+                raise ValidationError(f"basis {s!r} is not a Subset or an iterable of elements")
             sub = s if isinstance(s, Subset) else Subset.of(n, s)
             if k is None:
                 k = len(sub)  # the first basis sets the rank
@@ -703,7 +704,7 @@ class BasisFamily(_Value):
 def _check_basis(b: Subset, n: int, k: int) -> None:
     """Check b, a basis of a rank-k family: a k-subset of {1, ..., n}."""
     if not isinstance(b, Subset):
-        raise TypeError(f"basis {b!r} is not a Subset")
+        raise ValidationError(f"basis {b!r} is not a Subset")
     if b.n != n:
         raise ValidationError(f"basis {b} lives on n={b.n}, expected n={n}")
     if b.mask.bit_count() != k:

@@ -16,9 +16,9 @@ vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 
 Many instances of a sweep give the same minor permutation, or keep the same
 bases through or avoiding j, so each sweep (`_Sweep`) keeps two tables: a
-minor's necklace masks and family bits, and a kept family's Gale minima.
-The closure check reads its family off the first when its minima equal the
-minor's masks.  `_verify_instance` says why neither can change the report.
+minor's necklace masks and family bits, and a kept family's Gale minima with
+whether they cut that family out, which is the closure verdict for either
+kind.  `_verify_instance` says why neither table can change the report.
 A table is emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep
 returns, so each worker of a parallel sweep has its own.
 
@@ -301,15 +301,24 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     Two results come from the sweep's tables, each read with one `get` and
     filled on a miss by `_Sweep`.  `sweep.minors` is keyed by the minor
     permutation, images and colours, and gives its necklace's masks and
-    their family bits for the "oracle", "necklace-agreement", "structure"
-    and "closure" checks.  `sweep.kept` is keyed by the kept family's bit
-    vector and gives its Gale minima, None when it is empty.  Each table
+    their family bits for the "oracle", "necklace-agreement" and "structure"
+    checks.  `sweep.kept` is keyed by the kept family's bit vector and gives
+    its Gale minima, None when it is empty, for "necklace-formula", and
+    whether those minima cut the kept family out, for "closure".  Each table
     holds at most `SWEEP_TABLE_CAP` entries.  The calls they stand for are
     pure and a call that raises stores nothing, so every check sees the
     inputs, and every instance the exceptions, that it would with no table,
-    and the report cannot change.  Nor can the closure check's reuse: it
-    takes those family bits only when its minima equal the minor's masks,
-    and `_family_bits` of equal masks is an equal value.
+    and the report cannot change.
+
+    Closure asks whether the oracle family is cut out by its Gale minima,
+    and the kept family answers for both kinds.  Restricting, the two are
+    one family.  Contracting, every kept basis holds j, so every kept
+    minimum M_t does, and the contracted family is cut out by the M_t less j
+    exactly when the kept one is cut out by the M_t: from start j + 1, j
+    comes last, so every set above M_t there holds j; from start j, j comes
+    first, so no set above M_t less j there holds j; and dropping j from two
+    sets that hold it lowers both prefix counts by one, so no Gale
+    comparison changes.
     """
     failures = []
     k = necklace.k
@@ -337,11 +346,8 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     if result_family != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
-    kept_minima = sweep.kept.get(kept, _MISSING)
-    if kept_minima is _MISSING:
-        kept_minima = sweep.add_kept(kept)
-    formula_holds = kept_minima == minor_necklace.masks
-    if not formula_holds:
+    kept_minima, closed = sweep.kept.get(kept) or sweep.add_kept(kept)
+    if kept_minima != minor_necklace.masks:
         failures.append("necklace-formula")
     # contraction's entries carry j, which the loop j of the result lacks;
     # restriction's must already be free of j, so they are compared as is
@@ -356,14 +362,7 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
             failures.append("convention")
     else:
         failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-    # positroid closure: the oracle family is cut out by its own Gale minima,
-    # which contracting are kept_minima less j, as every kept basis holds j
-    minima = kept_minima
-    if contracting and minima is not None:
-        minima = agreed if formula_holds else tuple([m & ~bit for m in minima])
-    if minima is None:
-        failures.append("closure")
-    elif (result_family if minima == result_masks else _family_bits(sweep.uppers, minima)) != oracle_family:
+    if not closed:
         failures.append("closure")
     if loop_coloop_status(result, j) != "loop" or result_masks[0].bit_count() != (k - 1 if contracting else k):
         failures.append("structure")
@@ -400,9 +399,6 @@ def _family_bits(uppers, masks):
     return reduce(and_, [row[mask] for row, mask in zip(uppers, masks)])
 
 
-_MISSING = object()
-
-
 class _Sweep:
     """What one sweep of size n builds once and reads for every instance.
 
@@ -428,8 +424,10 @@ class _Sweep:
         return _keep(self.minors, key, (masks, _family_bits(self.uppers, masks)))
 
     def add_kept(self, kept):
-        """Store and return _gale_minima(kept, planes), None when the kept family is empty."""
-        return _keep(self.kept, kept, _gale_minima(kept, self.planes))
+        """Store and return, under kept, its Gale minima (None when empty) and whether they cut it out."""
+        minima = _gale_minima(kept, self.planes)
+        closed = minima is not None and _family_bits(self.uppers, minima) == kept
+        return _keep(self.kept, kept, (minima, closed))
 
 
 def _keep(table, key, value):
@@ -440,9 +438,8 @@ def _keep(table, key, value):
     return value
 
 
-def _sweep(n, kind_values, stride, offset):
-    """One worker's share of the sweep: perms whose index hits the offset."""
-    kinds = sorted((MinorKind(v) for v in kind_values), key=lambda kk: kk.value)
+def _sweep(n, kinds, stride, offset):
+    """One worker's share of the sweep: perms whose index hits the offset, each kind in the order given."""
     instances = degenerate = mismatches = 0
     check_failures: dict[str, int] = {}
     first_key = first_msg = None
@@ -512,17 +509,17 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     if not kinds or not kinds <= BOTH_KINDS:
         raise ValidationError("kinds must be a nonempty subset of {contraction, restriction}")
     _check_count(jobs, "jobs", None)
-    kind_values = tuple(sorted(kk.value for kk in kinds))
+    ordered = sorted(kinds, key=lambda kk: kk.value)
     start = time.perf_counter()
     if jobs == 1:
-        parts = [_sweep(n, kind_values, 1, 0)]
+        parts = [_sweep(n, ordered, 1, 0)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # jobs stays the stride, so the partition and the merged report do
         # not depend on how many workers actually run it
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(partial(_sweep, n, kind_values, jobs), range(jobs)))
+            parts = list(pool.map(partial(_sweep, n, ordered, jobs), range(jobs)))
     elapsed = time.perf_counter() - start
     check_failures: dict[str, int] = {}
     for part in parts:
@@ -532,7 +529,7 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     first_msg = min(firsts)[1] if firsts else None
     return VerificationReport(
         n=n,
-        kind="both" if len(kinds) == 2 else next(iter(kinds)).value,
+        kind="both" if len(ordered) == 2 else ordered[0].value,
         instances_checked=sum(part["instances"] for part in parts),
         degenerate_skipped=sum(part["degenerate"] for part in parts),
         mismatches=sum(part["mismatches"] for part in parts),

@@ -57,8 +57,7 @@ def gale_leq(a: Subset, b: Subset, t: int) -> bool:
     and compared position by position.  Only equal-size subsets of the same
     ground set are comparable.
     """
-    if not isinstance(a, Subset) or not isinstance(b, Subset):
-        raise TypeError("gale_leq expects Subset operands")
+    _check_type(a, Subset)
     a._same_ground(b)
     _check_element(t, a.n, "start")
     if len(a) != len(b):

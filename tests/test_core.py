@@ -378,7 +378,7 @@ class TestNecklaceValidation:
 
     def test_entry_that_is_not_a_subset(self):
         for entries, idx in (([1, 2], 1), ([Subset.of(2, [1]), 2], 2)):
-            with pytest.raises(TypeError, match=f"entry {idx} is not a Subset"):
+            with pytest.raises(ValidationError, match=f"entry {idx} is not a Subset"):
                 validate_necklace(entries)
 
     def test_empty_necklace_rejected(self):
@@ -396,7 +396,7 @@ class TestNecklaceValidation:
             bases_of(GrassmannNecklace(entries))
         with pytest.raises(InvalidNecklaceError):
             contract_necklace(GrassmannNecklace(entries), 1)
-        with pytest.raises(TypeError, match="entry 2 is not a Subset"):
+        with pytest.raises(ValidationError, match="entry 2 is not a Subset"):
             GrassmannNecklace((Subset.of(2, [1]), 2))
         assert GrassmannNecklace(necklace_of(parse_perm(GOLDEN_PERM)).entries) == necklace_of(parse_perm(GOLDEN_PERM))
 
@@ -503,7 +503,7 @@ class TestBases:
             oracle_necklace(BasisFamily(3, 2, frozenset({Subset.of(3, [1])})))
         with pytest.raises(ValidationError, match=r"basis \{1,2\} lives on n=4, expected n=3"):
             BasisFamily(3, 2, frozenset({Subset.of(4, [1, 2])}))
-        with pytest.raises(TypeError, match="is not a Subset"):
+        with pytest.raises(ValidationError, match="is not a Subset"):
             BasisFamily(3, 2, frozenset({(1, 2)}))
         for n, k in ((0, 0), (65, 1), (3, -1), (3, 4), (3, 1.0)):
             with pytest.raises(ValidationError):

@@ -322,13 +322,21 @@ def assert_bits_match_the_set_oracle(family):
     assert positroids.oracle._family_bits(uppers, minima) == to_bits(bases_of(necklace))
 
 
-def assert_contracted_minima(bits, planes):
-    """The minima of the contraction at j are the minima of the bases through j less j."""
+def assert_contracted_minima(bits, sweep):
+    """At every j, the minima of the contraction are those of the bases through j less j.
+
+    The contraction is cut out by its minima exactly when `add_kept` finds the
+    bases through j cut out by theirs.
+    """
+    planes = sweep.planes
     for j in range(1, len(planes) + 1):
         bit = 1 << (j - 1)
-        through = positroids.oracle._gale_minima(bits & planes[j - 1], planes)
+        through, closed = sweep.add_kept(bits & planes[j - 1])
+        assert through == positroids.oracle._gale_minima(bits & planes[j - 1], planes)
         expected = None if through is None else tuple(m & ~bit for m in through)
-        assert positroids.oracle._gale_minima(positroids.oracle._contract_bits(bits, planes, j), planes) == expected
+        contracted = positroids.oracle._contract_bits(bits, planes, j)
+        assert positroids.oracle._gale_minima(contracted, planes) == expected
+        assert closed == (expected is not None and positroids.oracle._family_bits(sweep.uppers, expected) == contracted)
 
 
 # every (n, k) with n <= 4, and two more at n = 5 with 1,023 families each
@@ -369,28 +377,43 @@ class TestBitFamilies:
     def test_empty_family_has_no_minima(self):
         for n in range(1, 5):
             assert positroids.oracle._gale_minima(0, positroids.oracle._element_planes(n)) is None
+            assert positroids.oracle._Sweep(n).add_kept(0) == (None, False)
 
-    # the sweep's closure check for contraction reads the contracted family's
-    # minima off those of the bases through j, with j cleared
+    # the sweep reads a contracted family off the bases through j: its minima
+    # are theirs with j cleared, and it is cut out by its minima exactly when
+    # they are cut out by theirs (`_verify_instance` gives the three facts why)
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_contracted_minima_of_every_bit_vector(self, n):
-        planes = positroids.oracle._element_planes(n)
+        sweep = positroids.oracle._Sweep(n)
         for bits in range(1 << (1 << n)):
-            assert_contracted_minima(bits, planes)
+            assert_contracted_minima(bits, sweep)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_contracted_minima_of_every_positroid(self, n):
-        planes = positroids.oracle._element_planes(n)
-        uppers = positroids.oracle._schubert_cells(n)
+        sweep = positroids.oracle._Sweep(n)
         for p in enumerate_decorated_perms(n):
-            assert_contracted_minima(positroids.oracle._family_bits(uppers, necklace_of(p).masks), planes)
+            assert_contracted_minima(positroids.oracle._family_bits(sweep.uppers, necklace_of(p).masks), sweep)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(4, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
     def test_contracted_minima_of_random_bit_vectors(self, n_bits):
         n, bits = n_bits
-        assert_contracted_minima(bits, positroids.oracle._element_planes(n))
+        assert_contracted_minima(bits, positroids.oracle._Sweep(n))
+
+    def test_family_its_minima_do_not_cut_out_is_not_closed(self):
+        # {1,2} and {3,4}, not a matroid: their minima {1,2}, {1,2}, {3,4}, {3,4} cut out {1,3} alone
+        sweep = positroids.oracle._Sweep(4)
+        minima, closed = sweep.add_kept(1 << 0b0011 | 1 << 0b1100)
+        assert (minima, closed) == ((0b0011, 0b0011, 0b1100, 0b1100), False)
+        assert positroids.oracle._family_bits(sweep.uppers, minima) == 1 << 0b0101
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_positroid_is_closed(self, n):
+        sweep = positroids.oracle._Sweep(n)
+        for p in enumerate_decorated_perms(n):
+            masks = necklace_of(p).masks
+            assert sweep.add_kept(positroids.oracle._family_bits(sweep.uppers, masks)) == (masks, True)
 
 
 @st.composite
