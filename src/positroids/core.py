@@ -666,10 +666,9 @@ class BasisFamily(_Value):
         collected = set()
         k = None
         for s in sets:
-            if not isinstance(s, Iterable):
-                raise ValidationError(f"basis {s!r} is not a Subset or an iterable of elements")
-            sub = s if isinstance(s, Subset) else Subset.of(n, s)
-            if k is None:
+            # a value that is neither a Subset nor iterable goes to _check_basis, which rejects it
+            sub = s if isinstance(s, Subset) or not isinstance(s, Iterable) else Subset.of(n, s)
+            if k is None and isinstance(sub, Subset):
                 k = len(sub)  # the first basis sets the rank
             _check_basis(sub, n, k)
             collected.add(sub)
