@@ -64,8 +64,8 @@ from .minors import (
 ENUMERATION_CAP = 10
 
 # Entries one table of a sweep holds before it is emptied (`_Sweep`).  Every
-# table of n <= 6 fits; a serial n = 8 sweep peaked at 24 MiB with this cap
-# and at 84 MiB with none, against 16 MiB with no tables (Python 3.11, x86-64).
+# table of n <= 6 fits; a serial n = 8 sweep peaked at 23 MiB with this cap
+# and at 86 MiB with none, against 16 MiB with no tables (Python 3.11, x86-64).
 # Evicting the older half instead stored 10% fewer entries at n = 8 but took
 # as long and peaked 1.4 MiB higher, so a full table is emptied.
 SWEEP_TABLE_CAP = 1 << 13
