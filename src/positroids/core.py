@@ -36,21 +36,29 @@ necklace.
 
 A necklace holds the masks of its entries, one int each, and `_necklace`
 takes those masks.  Its `Subset` entries are built only when a caller reads
-`entries` (a trace, the JSON form, `entry(r)`), so the conversions, the
-swap formulas, the text forms and the sweep never build one; the step rule
+`entries` or `entry(r)`, so the conversions, the swap formulas, the text and
+JSON forms, the traces and the sweep never build one; the step rule
 is checked on masks by `_mask_violations`, which `necklace_violations` and
 `parse_necklace` share.
 
-Subsets cross the text boundary by constant tables built at import.  Out,
-a mask is read one hexadecimal digit (4 elements) at a time: row r of
-`_CHUNK_MEMBERS` and `_CHUNK_TEXT` maps digit r of the mask, counted from the
-lowest, to the elements it holds, as a tuple and as comma-terminated text.
-In, `_TOKEN_BIT` maps each canonical element token "1" ... "64" to its bit,
-and the parsers add the bits of a subset's tokens.  A token not in the table
-("03", "+3", "1_0", "x", "", "65", ...), a repeated element, or an element
-that does not fit in n sends that subset down the `int()` path: it reads
-every token with `int()` and checks the elements with `Subset.of`, so it
-accepts what `int()` accepts and reports the first bad entry.
+Subsets and permutations cross the text boundary by constant tables built
+at import.  Out, a mask's members are read one hexadecimal digit (4
+elements) at a time: row r of `_CHUNK_MEMBERS` maps digit r of the mask,
+counted from the lowest, to the elements it holds.  Its text is read one
+byte (8 elements) at a time: row r of `_BYTE_TEXT` maps byte r of the mask,
+counted from the lowest, to those elements as comma-terminated text, so
+every mask is 8 lookups and one join.  In, `_TOKEN_BIT` maps each canonical
+element token "1" ... "64" to its bit, and the parsers add the bits of a
+subset's tokens.  A token not in the table ("03", "+3", "1_0", "x", "",
+"65", ...), a repeated element, or an element that does not fit in n sends
+that subset down the `int()` path: it reads every token with `int()` and
+checks the elements with `Subset.of`, so it accepts what `int()` accepts and
+reports the first bad entry.  `_PERM_TOKEN` maps each canonical image token,
+"1" ... "64" with or without a sign, to its image, and `parse_perm` reads a
+permutation's tokens through it in one pass.  Tokens that are all in the
+table, with n distinct images up to n and signs on exactly the fixed points,
+make the value; anything else goes to the token-by-token regex loop, which
+accepts what `int()` reads and reports the first bad token.
 """
 
 import re
@@ -70,15 +78,34 @@ __all__ = [
 MAX_GROUND_SET = 64
 
 # Row r maps a hexadecimal digit d to the members 4r + 1 ... 4r + 4 that d
-# holds: 16 rows of 16 entries each (about 44 KiB with `_CHUNK_TEXT`).
+# holds: 16 rows of 16 entries each.
 _CHUNK_MEMBERS = tuple(
     {f"{d:x}": tuple(4 * r + i for i in range(1, 5) if d >> (i - 1) & 1) for d in range(16)}
     for r in range(MAX_GROUND_SET // 4)
 )
-# The same members as text, each followed by a comma: joining a mask's rows
+
+
+def _byte_row(r: int) -> tuple[str, ...]:
+    """Row r of `_BYTE_TEXT`: byte b to the members 8r + 1 ... 8r + 8 that b holds, each followed by a comma.
+
+    Element e doubles the row: the texts of the bytes with e's bit set are
+    those without it, each followed by "e,".
+    """
+    texts = [""]
+    for e in range(8 * r + 1, 8 * r + 9):
+        token = f"{e},"
+        texts += [text + token for text in texts]
+    return tuple(texts)
+
+
+# 8 rows of 256 entries: joining the rows of a mask's 8 bytes, lowest first,
 # and dropping the last character gives its comma-joined members.
-_CHUNK_TEXT = tuple({d: "".join(f"{e}," for e in members) for d, members in row.items()} for row in _CHUNK_MEMBERS)
+_BYTE_TEXT = tuple(map(_byte_row, range(MAX_GROUND_SET // 8)))
 _TOKEN_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SET + 1)}
+# Each canonical image token, with or without a sign, to its image; `_SIGN`
+# reads the sign, and a token without one is not in it.
+_PERM_TOKEN = {f"{e}{sign}": e for e in range(1, MAX_GROUND_SET + 1) for sign in ("", "+", "-")}
+_SIGN = {"+": 1, "-": -1}
 
 
 class PositroidError(Exception):
@@ -125,6 +152,13 @@ def _check_type(value, cls: type) -> None:
     """The check of an argument whose fields are read: value must be a cls (a subclass passes)."""
     if not isinstance(value, cls):
         raise ValidationError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
+def _check_iterable(value, what: str, cls: type = Iterable) -> None:
+    """Check value, the argument named what, is an Iterable (or cls, e.g. a Sequence) before it is read."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be {'iterable' if cls is Iterable else 'a sequence'}, "
+                              f"got {type(value).__name__}")
 
 
 def _check_color(c: int, i: int | None = None) -> None:
@@ -176,6 +210,7 @@ class Subset(_Value):
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
         _check_count(n)
+        _check_iterable(elements, "elements")
         mask = 0
         for e in elements:
             mask |= 1 << (_check_element(e, n) - 1)
@@ -192,8 +227,7 @@ class Subset(_Value):
 
     @property
     def members(self) -> tuple[int, ...]:
-        # the mask's hex digits, lowest first, pick one table row each
-        return tuple(chain.from_iterable(map(getitem, _CHUNK_MEMBERS, f"{self.mask:x}"[::-1])))
+        return tuple(_members(self.mask))
 
     def __contains__(self, e: int) -> bool:
         return isinstance(e, int) and 1 <= e <= self.n and bool(self.mask >> (e - 1) & 1)
@@ -236,6 +270,11 @@ class Subset(_Value):
 
     def __str__(self) -> str:
         return "{" + format_subset(self) + "}"
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The members of a mask, increasing: its hex digits, lowest first, pick one table row each."""
+    return chain.from_iterable(map(getitem, _CHUNK_MEMBERS, f"{mask:x}"[::-1]))
 
 
 def _subset(n: int, mask: int) -> Subset:
@@ -346,7 +385,11 @@ class DecoratedPermutation(_Value):
     @classmethod
     def of(cls, images: Iterable[int], colors: Mapping[int, int] | None = None) -> "DecoratedPermutation":
         """Build from any iterable of images and a fixed point -> color mapping."""
-        pairs = tuple(dict(colors or {}).items())
+        _check_iterable(images, "images")
+        try:
+            pairs = tuple(dict(colors or {}).items())
+        except (TypeError, ValueError):
+            raise ValidationError(f"colors must be a mapping of fixed points to colors, got {colors!r}") from None
         try:
             pairs = tuple(sorted(pairs))
         except TypeError:
@@ -446,6 +489,7 @@ class GrassmannNecklace(_Value):
     __match_args__ = ("masks",)
 
     def __init__(self, entries: Sequence[Subset]):
+        _check_iterable(entries, "entries", Sequence)
         if not entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
         self.__dict__["masks"] = validate_necklace(entries).masks
@@ -496,6 +540,7 @@ class NecklaceViolation(_Value):
 
 def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
     """All step-rule and shape violations of a candidate necklace."""
+    _check_iterable(entries, "entries", Sequence)
     if len(entries) == 0:
         return [NecklaceViolation(0, "shape", "no entries")]
     for idx, e in enumerate(entries, start=1):
@@ -663,6 +708,7 @@ class BasisFamily(_Value):
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
         _check_count(n)
+        _check_iterable(sets, "sets")
         collected = set()
         k = None
         for s in sets:
@@ -728,18 +774,35 @@ def _family(n: int, k: int, bases: frozenset[Subset]) -> BasisFamily:
 # semicolons, each a comma-separated increasing subset, e.g. "1,2;2,3;1,3".
 # Basis families use the necklace separator.  Whitespace is ignored.
 
-_PERM_TOKEN = re.compile(r"(\d+)([+-])?\Z")
+_IMAGE_TOKEN = re.compile(r"(\d+)([+-])?\Z")
 
 
 def format_perm(p: DecoratedPermutation) -> str:
     _check_type(p, DecoratedPermutation)
-    toks = []
-    for i, v in enumerate(p.images, start=1):
-        if v == i:
-            toks.append(f"{v}+" if p.color(i) == 1 else f"{v}-")
-        else:
-            toks.append(str(v))
+    toks = list(map(str, p.images))
+    for i, c in p.colors:
+        toks[i - 1] += "+" if c == 1 else "-"
     return ",".join(toks)
+
+
+def _table_perm(s: str, toks: list[str]) -> DecoratedPermutation | None:
+    """The value of a permutation's tokens read by `_PERM_TOKEN`, or None.
+
+    None means a token is not in the table, the images are no permutation or
+    the signs are not on exactly the fixed points, and the caller takes the
+    regex loop.  s is the tokens joined: each token holds at most one sign, so
+    counting the signs in s counts the signed tokens.
+    """
+    try:
+        images = tuple(map(_PERM_TOKEN.__getitem__, toks))
+        colors = tuple([(i, _SIGN[toks[i - 1][-1]]) for i, v in enumerate(images, 1) if v == i])
+    except KeyError:
+        return None
+    n = len(images)
+    # every image is at least 1, so n distinct ones up to n are a permutation
+    if max(images) <= n and len(set(images)) == n and s.count("+") + s.count("-") == len(colors):
+        return _perm(images, colors)
+    return None
 
 
 def parse_perm(text: str) -> DecoratedPermutation:
@@ -751,11 +814,14 @@ def parse_perm(text: str) -> DecoratedPermutation:
     n = len(toks)
     if n > MAX_GROUND_SET:
         raise ValidationError(f"{n} images exceed the ground set cap of {MAX_GROUND_SET}")
+    p = _table_perm(s, toks)
+    if p is not None:
+        return p
     images = []
     colors = {}
     seen = {}
     for pos, tok in enumerate(toks, start=1):
-        m = _PERM_TOKEN.match(tok)
+        m = _IMAGE_TOKEN.match(tok)
         if not m:
             raise ValidationError(f"token {pos}: {tok!r} is not an image with an optional sign")
         v = int(m.group(1))
@@ -782,8 +848,8 @@ def format_subset(s: Subset) -> str:
 
 
 def _format_mask(mask: int) -> str:
-    # the mask's hex digits, lowest first, pick one table row each
-    return "".join(map(getitem, _CHUNK_TEXT, f"{mask:x}"[::-1]))[:-1]
+    # the mask's 8 bytes, lowest first, pick one table row each
+    return "".join(map(getitem, _BYTE_TEXT, mask.to_bytes(8, "little")))[:-1]
 
 
 def _token_mask(s: str) -> int:
@@ -903,7 +969,7 @@ def necklace_to_obj(necklace: GrassmannNecklace) -> dict:
     return {
         "n": necklace.n,
         "k": necklace.k,
-        "entries": [list(e.members) for e in necklace.entries],
+        "entries": [list(_members(mask)) for mask in necklace.masks],
     }
 
 

@@ -19,9 +19,16 @@ The fixed-j rule: at a fixed point j, a loop (+1) contracted or a coloop
 the same ground set, and by convention gives the identity with all fixed
 points +1, flagged degenerate; at any other fixed j the minor is p with j
 colored +1, a loop.
+
+A trace (`trace_minor`) holds columns, one entry per square, the way a
+necklace holds masks: the entry and minor-entry masks, the images before and
+after, the swaps and the case labels.  `render_trace` and `trace_to_obj` read
+the columns; the `SquareRow`s of `rows` are built from them when first read.
 """
 
 import enum
+from collections.abc import Sequence
+from functools import cached_property
 
 from .core import (
     DecoratedPermutation,
@@ -32,14 +39,16 @@ from .core import (
     _Value,
     _check_element,
     _check_type,
+    _format_mask,
+    _members,
     _necklace,
     _perm,
     _shifted_max,
     _shifted_min,
+    _subset,
     dual,
     format_necklace,
     format_perm,
-    format_subset,
     necklace_of,
     perm_to_obj,
 )
@@ -320,31 +329,87 @@ def classify_square(
 
 
 class SquareRow(_Value):
-    """One column of a minor trace: the square between positions a and a+1."""
+    """One square of a minor trace, between positions a and a+1: a column of its diagram.
+
+    The constructor checks that the entries are Subsets of one ground set,
+    that a, the images and the swap are its elements and that the case is a
+    CaseLabel.
+    """
 
     __match_args__ = ("a", "entry", "minor_entry", "image", "minor_image", "swap", "case")
 
     def __init__(self, a: int, entry: Subset, minor_entry: Subset, image: int, minor_image: int, swap: int,
                  case: CaseLabel) -> None:
+        _check_type(entry, Subset)
+        entry._same_ground(minor_entry)
+        n = entry.n
+        a, image, minor_image, swap = [
+            _check_element(i, n, what)
+            for i, what in ((a, "position"), (image, "image"), (minor_image, "minor image"), (swap, "swap"))
+        ]
+        _check_type(case, CaseLabel)
         self.__dict__.update(a=a, entry=entry, minor_entry=minor_entry, image=image, minor_image=minor_image,
                              swap=swap, case=case)
 
 
 class MinorTrace(_Value):
+    """Square-by-square account of a minor at j, held as columns: one tuple per field, one entry per square.
+
+    Entry a - 1 of each column describes the square at a: `masks` and
+    `minor_masks` hold the masks of I_a and K_a, `images` and `minor_images`
+    the images of a before and after, `swaps` the element bridging I_a to
+    K_a and `cases` its CaseLabel.  `rows`, one SquareRow per square, is
+    built from the columns on first access and kept; equality, hashing and
+    the repr read it.  The constructor takes the rows and reads the columns
+    off them, once it has checked the kind, the two permutations, j and that
+    the rows are the n squares of the source's ground set, in order.
+    """
+
     __match_args__ = ("kind", "j", "source", "result", "rows")
 
     def __init__(self, kind: MinorKind, j: int, source: DecoratedPermutation, result: DecoratedPermutation,
-                 rows: tuple[SquareRow, ...]) -> None:
-        self.__dict__.update(kind=kind, j=j, source=source, result=result, rows=rows)
+                 rows: Sequence[SquareRow]) -> None:
+        _check_kind(kind)
+        _check_type(source, DecoratedPermutation)
+        _check_type(result, DecoratedPermutation)
+        n = source.n
+        j = _check_element(j, n, "j")
+        if not isinstance(rows, Sequence) or len(rows) != n:
+            got = f"a sequence of {len(rows)}" if isinstance(rows, Sequence) else type(rows).__name__
+            raise ValidationError(f"rows must be a sequence of {n} SquareRows, got {got}")
+        for a, row in enumerate(rows, 1):
+            _check_type(row, SquareRow)
+            if row.a != a or row.entry.n != n:
+                raise ValidationError(f"row {a} is the square at {row.a} on n={row.entry.n}, expected {a} on n={n}")
+        columns = zip(*[(r.entry.mask, r.minor_entry.mask, r.image, r.minor_image, r.swap, r.case) for r in rows])
+        self.__dict__.update(vars(_trace(kind, j, source, result, *columns)))
+
+    @cached_property
+    def rows(self) -> tuple[SquareRow, ...]:
+        n = len(self.images)
+        entries = [_subset(n, mask) for mask in self.masks]
+        minor_entries = [_subset(n, mask) for mask in self.minor_masks]
+        return tuple(map(SquareRow, range(1, n + 1), entries, minor_entries, self.images, self.minor_images,
+                         self.swaps, self.cases))
+
+
+def _trace(kind: MinorKind, j: int, source: DecoratedPermutation, result: DecoratedPermutation,
+           masks: tuple[int, ...], minor_masks: tuple[int, ...], images: tuple[int, ...],
+           minor_images: tuple[int, ...], swaps: tuple[int, ...], cases: tuple[CaseLabel, ...]) -> MinorTrace:
+    """A MinorTrace with these columns, without the checks, for columns known valid."""
+    trace = object.__new__(MinorTrace)
+    trace.__dict__.update(kind=kind, j=j, source=source, result=result, masks=masks, minor_masks=minor_masks,
+                          images=images, minor_images=minor_images, swaps=swaps, cases=cases)
+    return trace
 
 
 def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     """Full square-by-square account of a minor at a non-fixed j.
 
-    Row a records the original entry I_a and image, the minor entry K_a and
-    image, the swapped element bridging I_a to K_a, and the case label.  The
-    minor images read off the rows reproduce contract(p, j) or restrict(p, j)
-    exactly, and consecutive rows satisfy the necklace step rule.
+    Square a records the original entry I_a and image, the minor entry K_a
+    and image, the swapped element bridging I_a to K_a, and the case label.
+    The minor images reproduce contract(p, j) or restrict(p, j) exactly, and
+    consecutive entries satisfy the necklace step rule.
     """
     _check_kind(kind)
     _check_type(p, DecoratedPermutation)
@@ -357,27 +422,18 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     result = (contract if contracting else restrict)(p, j)
     images = p.images
     inv_j = images.index(j) + 1
-    rows = tuple(
-        SquareRow(
-            a,
-            necklace.entries[a - 1],
-            minor_necklace.entries[a - 1],
-            images[a - 1],
-            result.images[a - 1],
-            swaps[a - 1],
-            _case(images, swaps, j, inv_j, a, contracting),
-        )
-        for a in range(1, p.n + 1)
-    )
-    return MinorTrace(kind, j, p, result, rows)
+    cases = tuple([_case(images, swaps, j, inv_j, a, contracting) for a in range(1, p.n + 1)])
+    return _trace(kind, j, p, result, necklace.masks, minor_necklace.masks, images, result.images, tuple(swaps),
+                  cases)
 
 
-def _cell(s: Subset) -> str:
-    if not s.mask:
-        return "{}"
-    text = format_subset(s)
-    # below 10 every element is one digit, so the cell drops the commas
-    return text.replace(",", "") if s.n <= 9 else text
+def _cells(masks: Sequence[int], n: int) -> list[str]:
+    """The diagram cells of entry masks on n elements: comma-joined members, or {} when empty.
+
+    Below 10 every element is one digit, so the cells drop the commas.
+    """
+    cells = [_format_mask(mask) or "{}" for mask in masks]
+    return [cell.replace(",", "") for cell in cells] if n <= 9 else cells
 
 
 def render_trace(trace: MinorTrace) -> str:
@@ -385,37 +441,36 @@ def render_trace(trace: MinorTrace) -> str:
 
     Four rows: original entries with their images on the arrows, the swapped
     elements, minor entries with minor images on the arrows, case labels.
-    The final arrow wraps around to the first column.
+    The final arrow wraps around to the first column.  Each column is
+    centred in the width of its widest cell, each arrow in that of its wider
+    arrow.
     """
     _check_type(trace, MinorTrace)
-    rows = trace.rows
-    tops = [_cell(r.entry) for r in rows]
-    bots = [_cell(r.minor_entry) for r in rows]
-    top_arr = [f"-{r.image}->" for r in rows]
-    bot_arr = [f"-{r.minor_image}->" for r in rows]
-    swaps = [str(r.swap) for r in rows]
-    cases = [r.case.value for r in rows]
-    widths = [max(len(t), len(b), len(s), len(c)) for t, b, s, c in zip(tops, bots, swaps, cases)]
-    arrows = [max(len(t), len(b)) for t, b in zip(top_arr, bot_arr)]
+    n = len(trace.images)
+    tops = _cells(trace.masks, n)
+    bots = _cells(trace.minor_masks, n)
+    swaps = list(map(str, trace.swaps))
+    cases = [case.value for case in trace.cases]
+    top_arrows = [f"-{v}->" for v in trace.images]
+    bot_arrows = [f"-{v}->" for v in trace.minor_images]
+    widths = list(map(max, map(len, tops), map(len, bots), map(len, swaps), map(len, cases)))
+    arrows = list(map(max, map(len, top_arrows), map(len, bot_arrows)))
+    blank = [""] * n
 
-    def line(cells, arr=None):
-        parts = []
-        for i, c in enumerate(cells):
-            parts.append(c.center(widths[i]))
-            parts.append((arr[i] if arr else "").center(arrows[i]))
-        return " ".join(parts).rstrip()
+    def line(cells: list[str], arrow_cells: list[str]) -> str:
+        pairs = zip(cells, widths, arrow_cells, arrows)
+        return " ".join([f"{cell.center(w)} {arrow.center(v)}" for cell, w, arrow, v in pairs]).rstrip()
 
     header = (
         f"{trace.kind.value} at j={trace.j}: "
         f"{format_perm(trace.source)} => {format_perm(trace.result)}"
     )
-    return "\n".join(
-        [header, line(tops, top_arr), line(swaps), line(bots, bot_arr), line(cases)]
-    )
+    return "\n".join([header, line(tops, top_arrows), line(swaps, blank), line(bots, bot_arrows), line(cases, blank)])
 
 
 def trace_to_obj(trace: MinorTrace) -> dict:
     _check_type(trace, MinorTrace)
+    columns = (trace.masks, trace.minor_masks, trace.images, trace.minor_images, trace.swaps, trace.cases)
     return {
         "kind": trace.kind.value,
         "j": trace.j,
@@ -423,14 +478,14 @@ def trace_to_obj(trace: MinorTrace) -> dict:
         "result": perm_to_obj(trace.result),
         "rows": [
             {
-                "a": r.a,
-                "entry": list(r.entry.members),
-                "minor_entry": list(r.minor_entry.members),
-                "image": r.image,
-                "minor_image": r.minor_image,
-                "swap": r.swap,
-                "case": r.case.value,
+                "a": a,
+                "entry": list(_members(mask)),
+                "minor_entry": list(_members(minor_mask)),
+                "image": image,
+                "minor_image": minor_image,
+                "swap": swap,
+                "case": case.value,
             }
-            for r in trace.rows
+            for a, (mask, minor_mask, image, minor_image, swap, case) in enumerate(zip(*columns), 1)
         ],
     }

@@ -1,10 +1,11 @@
 """Randomized properties over decorated permutations and subsets."""
 
 import pickle
+import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from positroids import (
     BasisFamily,
@@ -12,6 +13,7 @@ from positroids import (
     GrassmannNecklace,
     InvalidNecklaceError,
     MinorKind,
+    MinorTrace,
     NecklaceViolation,
     PreconditionError,
     Subset,
@@ -26,6 +28,7 @@ from positroids import (
     dual,
     enumerate_decorated_perms,
     format_necklace,
+    format_perm,
     format_subset,
     gale_extremum,
     gale_leq,
@@ -39,16 +42,20 @@ from positroids import (
     oracle_delete,
     parse_bases,
     parse_necklace,
+    parse_perm,
     parse_subset,
     perm_of,
+    perm_to_obj,
+    render_trace,
     restrict,
     restrict_necklace,
     restriction_swap,
     succ,
     trace_minor,
+    trace_to_obj,
 )
 from positroids.core import _necklace, _subset
-from positroids.minors import _cell
+from positroids.minors import _cells
 
 
 @st.composite
@@ -719,15 +726,151 @@ def check_text_forms(s):
     assert format_subset(s) == ",".join(map(str, members))
     assert str(s) == "{" + ",".join(map(str, members)) + "}"
     assert repr(s) == f"Subset.of({s.n}, {list(members)})"
-    assert _cell(s) == (("" if s.n <= 9 else ",").join(map(str, members)) if members else "{}")
+    assert _cells([s.mask], s.n) == [("" if s.n <= 9 else ",").join(map(str, members)) if members else "{}"]
     assert parse_subset(format_subset(s), s.n) == s
 
 
-@pytest.mark.parametrize("n", [4, 8, 9, 10, 63, 64])
+# the hexadecimal digits (4 elements) and bytes (8 elements) of a mask end at 4, 8, 12, ... and 8, 16, ...
+@pytest.mark.parametrize("n", [4, 8, 9, 10, 16, 17, 56, 57, 63, 64])
 def test_text_forms_at_chunk_edges(n):
-    edges = [e for e in (1, 4, 5, 8, 9, 10, 12, 13, 60, 61, 63, 64) if e <= n]
+    edges = [e for e in (1, 4, 5, 8, 9, 10, 12, 13, 16, 17, 56, 57, 60, 61, 63, 64) if e <= n]
     masks = [0, (1 << n) - 1, sum(1 << (e - 1) for e in edges), (1 << n) - 1 ^ sum(1 << (e - 1) for e in edges)]
     masks += [1 << (e - 1) for e in edges]
     masks += [(1 << e) - 1 for e in edges]  # every element up to an edge
     for mask in masks:
         check_text_forms(Subset(n, mask))
+
+
+# The trace diagram and JSON form as they were written before a trace held
+# columns: cell by cell from the rows, each member read off the mask bit by bit.
+
+
+def reference_cell(s):
+    members = reference_members(s.n, s.mask)
+    if not members:
+        return "{}"
+    # below 10 every element is one digit, so the cell drops the commas
+    return ("" if s.n <= 9 else ",").join(map(str, members))
+
+
+def reference_render(trace):
+    rows = trace.rows
+    tops = [reference_cell(r.entry) for r in rows]
+    bots = [reference_cell(r.minor_entry) for r in rows]
+    top_arr = [f"-{r.image}->" for r in rows]
+    bot_arr = [f"-{r.minor_image}->" for r in rows]
+    swaps = [str(r.swap) for r in rows]
+    cases = [r.case.value for r in rows]
+    widths = [max(len(t), len(b), len(s), len(c)) for t, b, s, c in zip(tops, bots, swaps, cases)]
+    arrows = [max(len(t), len(b)) for t, b in zip(top_arr, bot_arr)]
+
+    def line(cells, arr=None):
+        parts = []
+        for i, c in enumerate(cells):
+            parts.append(c.center(widths[i]))
+            parts.append((arr[i] if arr else "").center(arrows[i]))
+        return " ".join(parts).rstrip()
+
+    header = f"{trace.kind.value} at j={trace.j}: {format_perm(trace.source)} => {format_perm(trace.result)}"
+    return "\n".join([header, line(tops, top_arr), line(swaps), line(bots, bot_arr), line(cases)])
+
+
+def reference_trace_obj(trace):
+    return {
+        "kind": trace.kind.value,
+        "j": trace.j,
+        "source": perm_to_obj(trace.source),
+        "result": perm_to_obj(trace.result),
+        "rows": [
+            {
+                "a": r.a,
+                "entry": list(reference_members(r.entry.n, r.entry.mask)),
+                "minor_entry": list(reference_members(r.minor_entry.n, r.minor_entry.mask)),
+                "image": r.image,
+                "minor_image": r.minor_image,
+                "swap": r.swap,
+                "case": r.case.value,
+            }
+            for r in trace.rows
+        ],
+    }
+
+
+@given(decorated_perms(max_n=64, min_n=2), st.sampled_from(MinorKind), st.data())
+@settings(max_examples=150, deadline=None)
+def test_trace_forms_match_the_cell_by_cell_reference(p, kind, data):
+    moved = [i for i in range(1, p.n + 1) if p.images[i - 1] != i]
+    assume(moved)
+    trace = trace_minor(p, data.draw(st.sampled_from(moved)), kind)
+    text = render_trace(trace)
+    assert text == reference_render(trace)
+    assert trace_to_obj(trace) == reference_trace_obj(trace)
+    # the public constructor reads the same columns off the rows
+    rebuilt = MinorTrace(trace.kind, trace.j, trace.source, trace.result, trace.rows)
+    assert rebuilt == trace and hash(rebuilt) == hash(trace)
+    assert render_trace(rebuilt) == text
+    assert trace_to_obj(rebuilt) == trace_to_obj(trace)
+
+
+# parse_perm reads canonical tokens through a table in one pass and sends
+# anything else to a token-by-token loop; the reference is that loop alone.
+PERM_FUZZ_TOKENS = ("1", "2", "9", "10", "64", "65", "0", "03", "+3", "3+", "3-", "1_0", "x", "")
+
+
+def reference_parse_perm(text):
+    s = "".join(text.split())
+    if not s:
+        raise ValidationError("empty decorated permutation")
+    toks = s.split(",")
+    n = len(toks)
+    if n > 64:
+        raise ValidationError(f"{n} images exceed the ground set cap of 64")
+    images, colors, seen = [], {}, {}
+    for pos, tok in enumerate(toks, start=1):
+        m = re.match(r"(\d+)([+-])?\Z", tok)
+        if not m:
+            raise ValidationError(f"token {pos}: {tok!r} is not an image with an optional sign")
+        v, sign = int(m.group(1)), m.group(2)
+        if not 1 <= v <= n:
+            raise ValidationError(f"token {pos}: image {v} is out of range 1..{n}")
+        if v in seen:
+            raise ValidationError(f"token {pos}: image {v} already used at token {seen[v]}")
+        seen[v] = pos
+        if v == pos:
+            if sign is None:
+                raise ValidationError(f"token {pos}: fixed point {v} needs a + or - sign")
+            colors[pos] = 1 if sign == "+" else -1
+        elif sign is not None:
+            raise ValidationError(f"token {pos}: sign on {v}, which is not a fixed point here")
+        images.append(v)
+    return DecoratedPermutation.of(images, colors)
+
+
+@st.composite
+def perm_texts(draw):
+    """A permutation's text with up to two tokens changed, or fuzz tokens alone (up to 8, or 65), with spaces inside.
+
+    A changed token is a fuzz token, another token of the text, or the same
+    image with its sign dropped, added or flipped.
+    """
+    shape = draw(st.sampled_from(("perm",) * 4 + ("fuzz",) * 3 + ("long",)))
+    if shape == "perm":
+        tokens = format_perm(draw(decorated_perms(max_n=64))).split(",")
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(tokens) - 1))
+            image = tokens[at].rstrip("+-")
+            tokens[at] = draw(st.sampled_from(PERM_FUZZ_TOKENS + (draw(st.sampled_from(tokens)), image,
+                                                                  image + "+", image + "-")))
+    else:
+        size = 65 if shape == "long" else draw(st.integers(1, 8))
+        tokens = draw(st.lists(st.sampled_from(PERM_FUZZ_TOKENS), min_size=size, max_size=size))
+    text = ",".join(tokens)
+    for at in sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)), reverse=True):
+        text = text[:at] + " " + text[at:]
+    return text
+
+
+@given(perm_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_perm_matches_the_token_loop(text):
+    assert outcome(parse_perm, text) == outcome(reference_parse_perm, text)
