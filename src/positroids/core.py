@@ -39,33 +39,28 @@ takes those masks.  Its `Subset` entries are built only when a caller reads
 `entries` or `entry(r)`, so the conversions, the swap formulas, the text and
 JSON forms, the traces and the sweep never build one; the step rule
 is checked on masks by `_mask_violations`, which `necklace_violations` and
-`parse_necklace` share.
+`parse_necklace` share.  A basis family likewise holds its bases' `masks`,
+a frozenset of ints, which `_family` takes: `bases_of`, `parse_bases`, the
+text and JSON forms and the oracle read them, and the `Subset`s of `bases`
+are built only when a caller reads it.
 
 Subsets and permutations cross the text boundary by constant tables built
-at import.  Out, a mask's members are read one hexadecimal digit (4
-elements) at a time: row r of `_CHUNK_MEMBERS` maps digit r of the mask,
-counted from the lowest, to the elements it holds.  Its text is read one
-byte (8 elements) at a time: row r of `_BYTE_TEXT` maps byte r of the mask,
-counted from the lowest, to those elements as comma-terminated text, so
-every mask is 8 lookups and one join.  In, `_TOKEN_BIT` maps each canonical
-element token "1" ... "64" to its bit, and the parsers add the bits of a
-subset's tokens.  A token not in the table ("03", "+3", "1_0", "x", "",
-"65", ...), a repeated element, or an element that does not fit in n sends
-that subset down the `int()` path: it reads every token with `int()` and
-checks the elements with `Subset.of`, so it accepts what `int()` accepts and
-reports the first bad entry.  `_PERM_TOKEN` maps each canonical image token,
-"1" ... "64" with or without a sign, to its image, and `parse_perm` reads a
-permutation's tokens through it in one pass.  Tokens that are all in the
-table, with n distinct images up to n and signs on exactly the fixed points,
-make the value; anything else goes to the token-by-token regex loop, which
-accepts what `int()` reads and reports the first bad token.
+at import.  Out, a mask's members are read a hexadecimal digit at a time
+(`_CHUNK_MEMBERS`) and its text a byte at a time (`_BYTE_TEXT`).  In,
+`_TOKEN_BIT` maps each canonical element token "1" ... "64" to its bit,
+and `_PERM_TOKEN` each canonical image token, signed or not, to its image.
+A token not in its table ("03", "+3", "1_0", "x", "", "65", ...), a
+repeated element, an element that does not fit in n, or images that are no
+permutation or signs off the fixed points send the text down the slow path,
+which reads every token with `int()`, so that it accepts what `int()` reads
+and reports the first bad entry or token.
 """
 
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import getitem
+from operator import and_, getitem, or_
 
 __all__ = [
     "MAX_GROUND_SET", "BasisFamily", "DecoratedPermutation", "GrassmannNecklace", "InvalidNecklaceError",
@@ -127,9 +122,9 @@ class InvalidNecklaceError(ValidationError):
     """
 
     def __init__(self, violations):
+        _check_iterable(violations, "violations")
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"not a Grassmann necklace: {lines}")
+        super().__init__(f"not a Grassmann necklace: {'; '.join(map(str, self.violations))}")
 
 
 def _check_count(x: int, what: str = "ground set size", cap: int | None = MAX_GROUND_SET) -> None:
@@ -666,11 +661,8 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
 
     masks = necklace.masks
     n, k = len(masks), masks[0].bit_count()
-    coloops, somewhere = (1 << n) - 1, 0
-    for mask in masks:
-        coloops &= mask
-        somewhere |= mask
-    free = somewhere & ~coloops
+    coloops = reduce(and_, masks)
+    free = reduce(or_, masks) & ~coloops
     bounds = {pair for t, mask in enumerate(masks, start=1) for pair in _gale_bounds(mask, t, n)}
     tests = [(prefix, count) for prefix, count in bounds if prefix.bit_count() > count]
     found = []
@@ -680,7 +672,7 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
             if (mask & prefix).bit_count() > count:
                 break
         else:
-            found.append(_subset(n, mask))
+            found.append(mask)
     return _family(n, k, frozenset(found))
 
 
@@ -690,10 +682,11 @@ class BasisFamily(_Value):
     A real family is nonempty; the empty value exists only as a sentinel for
     minor operations that kill every basis (build it with BasisFamily.empty).
     The constructor checks n, the rank k and that every basis is a k-subset
-    of {1, ..., n}.
+    of {1, ..., n}.  What is stored is `masks`, the bases' bitmasks, which
+    equality and hashing use; `bases`, the Subsets, is built on first read.
     """
 
-    __match_args__ = ("n", "k", "bases")
+    __match_args__ = ("n", "k", "masks")
 
     def __init__(self, n: int, k: int, bases: frozenset[Subset]) -> None:
         _check_count(n)
@@ -703,14 +696,13 @@ class BasisFamily(_Value):
             raise ValidationError("bases must be a frozenset; BasisFamily.of takes other forms")
         for b in bases:
             _check_basis(b, n, k)
-        self.__dict__.update(n=n, k=k, bases=bases)
+        self.__dict__.update(n=n, k=k, masks=frozenset([b.mask for b in bases]), bases=bases)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
         _check_count(n)
         _check_iterable(sets, "sets")
-        collected = set()
-        k = None
+        collected, k = set(), None
         for s in sets:
             # a value that is neither a Subset nor iterable goes to _check_basis, which rejects it
             sub = s if isinstance(s, Subset) or not isinstance(s, Iterable) else Subset.of(n, s)
@@ -720,30 +712,39 @@ class BasisFamily(_Value):
             collected.add(sub)
         if k is None:
             raise ValidationError("a basis family needs at least one basis")
-        return _family(n, k, frozenset(collected))
+        return cls(n, k, frozenset(collected))  # which keeps the Subsets as `bases`
 
     @classmethod
     def empty(cls, n: int, k: int) -> "BasisFamily":
         return cls(n, k, frozenset())
 
+    @cached_property
+    def bases(self) -> frozenset[Subset]:
+        return frozenset(self.sorted_bases())
+
     @property
     def is_empty(self) -> bool:
-        return not self.bases
+        return not self.masks
+
+    def _sorted_masks(self) -> list[int]:
+        # in members' order: of two k-subsets, first the one whose bit string, element 1 first, is greater
+        return sorted(self.masks, key=lambda mask: f"{mask:0{self.n}b}"[::-1], reverse=True)
 
     def sorted_bases(self) -> list[Subset]:
-        return sorted(self.bases, key=lambda s: s.members)
+        return [_subset(self.n, mask) for mask in self._sorted_masks()]
 
     def __contains__(self, s: Subset) -> bool:
-        return s in self.bases
+        hash(s)  # an unhashable value raises TypeError, as a set lookup does
+        return s.__class__ is Subset and s.n == self.n and s.mask in self.masks
 
     def __len__(self) -> int:
-        return len(self.bases)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.sorted_bases())
 
     def __repr__(self) -> str:
-        return f"BasisFamily.of({self.n}, {[list(s.members) for s in self.sorted_bases()]})"
+        return f"BasisFamily.of({self.n}, {[list(_members(mask)) for mask in self._sorted_masks()]})"
 
 
 def _check_basis(b: Subset, n: int, k: int) -> None:
@@ -756,13 +757,10 @@ def _check_basis(b: Subset, n: int, k: int) -> None:
         raise ValidationError(f"basis {b} has size {len(b)}, expected {k}")
 
 
-def _family(n: int, k: int, bases: frozenset[Subset]) -> BasisFamily:
-    """BasisFamily(n, k, bases) without the checks, for k-subsets known to live on n."""
+def _family(n: int, k: int, masks: frozenset[int]) -> BasisFamily:
+    """A family with these basis masks, without the checks, for k-subsets known to live on n."""
     family = object.__new__(BasisFamily)
-    fields = family.__dict__
-    fields["n"] = n
-    fields["k"] = k
-    fields["bases"] = bases
+    family.__dict__.update(n=n, k=k, masks=masks)
     return family
 
 
@@ -871,23 +869,21 @@ def _token_mask(s: str) -> int:
 
 def parse_subset(text: str, n: int) -> Subset:
     _check_type(text, str)
-    return _read_subset(text, "".join(text.split()), n)
+    return _subset(n, _read_mask(text, "".join(text.split()), n))
 
 
-def _read_subset(text: str, s: str, n: int) -> Subset:
-    """Subset named by s, which is text without its whitespace."""
-    if not s:
-        return Subset.empty(n)
+def _read_mask(text: str, s: str, n: int) -> int:
+    """Mask of the subset of {1, ..., n} named by s, which is text without its whitespace."""
     mask = _token_mask(s)
     if mask >= 0:
         _check_count(n)  # after the tokens: a non-integer entry is reported first
         if not mask >> n:
-            return _subset(n, mask)
+            return mask
     try:
         elements = [int(tok) for tok in s.split(",")]
     except ValueError:
         raise ValidationError(f"subset {text!r} has a non-integer entry") from None
-    return Subset.of(n, elements)
+    return Subset.of(n, elements).mask
 
 
 def format_necklace(necklace: GrassmannNecklace) -> str:
@@ -908,7 +904,7 @@ def parse_necklace(text: str) -> GrassmannNecklace:
         mask = _token_mask(part)
         if mask >> n:  # -1 as well: the int() path accepts or reports the entry
             try:
-                mask = _read_subset(part, part, n).mask
+                mask = _read_mask(part, part, n)
             except ValidationError as e:
                 raise ValidationError(f"entry {idx}: {e}") from None
         masks.append(mask)
@@ -921,7 +917,7 @@ def parse_necklace(text: str) -> GrassmannNecklace:
 
 def format_bases(family: BasisFamily) -> str:
     _check_type(family, BasisFamily)
-    return ";".join([_format_mask(s.mask) for s in family.sorted_bases()])
+    return ";".join(map(_format_mask, family._sorted_masks()))
 
 
 def _infer_n(s: str) -> int:
@@ -931,18 +927,16 @@ def _infer_n(s: str) -> int:
     if distinct and distinct <= _TOKEN_BIT.keys():
         return max(map(_TOKEN_BIT.__getitem__, distinct)).bit_length()
     elements = []
-    for tok in tokens:
-        if tok:
-            try:
-                elements.append(int(tok))
-            except ValueError:
-                raise ValidationError(f"basis list has a non-integer entry {tok!r}") from None
+    for tok in filter(None, tokens):
+        try:
+            elements.append(int(tok))
+        except ValueError:
+            raise ValidationError(f"basis list has a non-integer entry {tok!r}") from None
     if not elements:
         raise ValidationError("cannot infer the ground set size; pass n explicitly")
-    biggest = max(elements)
-    if biggest < 1:
+    if max(elements) < 1:
         raise ValidationError(f"element {elements[0]} is out of range: elements start at 1")
-    return biggest
+    return max(elements)
 
 
 def parse_bases(text: str, n: int | None = None) -> BasisFamily:
@@ -952,7 +946,17 @@ def parse_bases(text: str, n: int | None = None) -> BasisFamily:
         raise ValidationError("empty basis family")
     if n is None:
         n = _infer_n(s)
-    return BasisFamily.of(n, [_read_subset(part, part, n) for part in s.split(";")])
+    parts = s.split(";")
+    masks = list(map(_token_mask, parts))
+    # n is checked once every token is in the table, as `_read_mask` checks it
+    # at the first part; otherwise the int() path reads or reports each part
+    if min(masks) < 0 or _check_count(n) or max(masks) >> n:
+        masks = [_read_mask(part, part, n) for part in parts]
+    k = masks[0].bit_count()  # the first basis sets the rank
+    for mask in masks:
+        if mask.bit_count() != k:
+            raise ValidationError(f"basis {{{_format_mask(mask)}}} has size {mask.bit_count()}, expected {k}")
+    return _family(n, k, frozenset(masks))
 
 
 def perm_to_obj(p: DecoratedPermutation) -> dict:
@@ -978,5 +982,5 @@ def bases_to_obj(family: BasisFamily) -> dict:
     return {
         "n": family.n,
         "k": family.k,
-        "bases": [list(s.members) for s in family.sorted_bases()],
+        "bases": [list(_members(mask)) for mask in family._sorted_masks()],
     }

@@ -6,7 +6,8 @@ it serves as an independent check of both.  Sizes are desk-scale:
 enumeration walks all n! * 2^(fixed points) decorated permutations, so n
 is capped.
 
-The public functions take and return `BasisFamily` values at any n.  Inside
+The public functions take and return `BasisFamily` values at any n and read
+their `masks`, building no `Subset`.  Inside
 the sweep a family is a bit vector of 2^n bits instead, one int whose bit m
 is set when the subset with mask m is a basis, so that minors, Gale minima
 and family equality are a few big-int operations each; the set-based public
@@ -22,15 +23,15 @@ kind.  `_verify_instance` says why neither table can change the report.
 A table is emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep
 returns, so each worker of a parallel sweep has its own.
 
-`check_matroid` numbers the bases instead and tests basis exchange on one
-witness plane per element, with no 2^n-bit vector, at every n up to 64.
+`check_matroid` tests basis exchange on one witness plane per element
+instead, with no 2^n-bit vector, at every n up to 64.
 """
 
 import os
 import time
 from functools import partial, reduce
 from itertools import permutations, product
-from operator import and_
+from operator import and_, itemgetter
 
 from .core import (
     BasisFamily,
@@ -45,7 +46,6 @@ from .core import (
     _family,
     _necklace,
     _perm,
-    _subset,
     bases_of,
     format_perm,
     loop_coloop_status,
@@ -83,8 +83,7 @@ def oracle_contract(family: BasisFamily, j: int) -> BasisFamily:
     n = family.n
     _check_element(j, n)
     bit = 1 << (j - 1)
-    kept = frozenset(_subset(n, h.mask ^ bit) for h in family.bases if h.mask & bit)
-    return _family(n, max(family.k - 1, 0), kept)
+    return _family(n, max(family.k - 1, 0), frozenset([mask ^ bit for mask in family.masks if mask & bit]))
 
 
 def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
@@ -92,7 +91,7 @@ def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
     _check_type(family, BasisFamily)
     _check_element(j, family.n)
     bit = 1 << (j - 1)
-    return _family(family.n, family.k, frozenset(h for h in family.bases if not h.mask & bit))
+    return _family(family.n, family.k, frozenset([mask for mask in family.masks if not mask & bit]))
 
 
 def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
@@ -100,15 +99,18 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
 
     The minima of a matroid's bases form its Grassmann necklace; for a family
     that is not a matroid they need not, and come back unchecked all the same.
+    Each basis is its bit string, element 1 first, written twice, so that the
+    slice [t, t + n) reads it from t + 1.  Read from there, the least basis
+    holds the first element where two differ, so its reading is the greatest.
     """
     _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family has no necklace")
-    n = family.n
-    # bases as bit strings, element 1 first: read from t, the least basis holds
-    # the first element where two differ, so its string is the greatest
-    rows = {format(h.mask, f"0{n}b")[::-1]: h.mask for h in family.bases}
-    return _necklace(tuple(rows[max(rows, key=lambda row: row[t:] + row[:t])] for t in range(n)))
+    n, width = family.n, f"0{family.n}b"
+    twice = [format(mask, width)[::-1] * 2 for mask in family.masks]
+    best = [max(map(itemgetter(slice(t, t + n)), twice)) for t in range(n)]
+    # the best reading from t + 1, rotated back and reversed, is the mask
+    return _necklace(tuple([int((row[n - t:] + row[:n - t])[::-1], 2) for t, row in enumerate(best)]))
 
 
 def is_positroid(family: BasisFamily) -> bool:
@@ -116,50 +118,44 @@ def is_positroid(family: BasisFamily) -> bool:
     _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
-    return bases_of(oracle_necklace(family)).bases == family.bases
+    return bases_of(oracle_necklace(family)).masks == family.masks
 
 
 def check_matroid(family: BasisFamily) -> bool:
     """Basis exchange: for bases A, B and x in A-B some y in B-A fixes A-x+y.
 
-    The bases are numbered 0..m-1, and the witness plane of element e is an
-    m-bit int with bit i set when basis i avoids e.  For each basis A and x
-    in A, the bases B with x not in B start as the plane of x; each y outside
-    A for which A-x+y is a basis then strikes the bases through y, and the
-    check stops as soon as none are left.  A basis that survives every y
-    avoids x and meets none of the y that fix A-x; as those y lie outside
-    A, no y in B-A fixes A-x+y, which is exactly a failure of the pairwise
-    statement.  The cost is |F| * k * (n - k) set lookups and m-bit ANDs
-    instead of a scan of every pair of bases.
+    Tested once per S = A - x, a basis less one element, whichever A and x
+    give it: with Y the elements y outside S for which S + y is a basis, no
+    basis may avoid all of Y.  A basis B avoiding x meets Y exactly in the y
+    of B - A that fix A-x, and one holding x meets Y in x itself, so this is
+    the pairwise statement.  The witness plane of an element has one bit per
+    basis that avoids it, so the bases avoiding all of Y are one AND per y:
+    |F| * k ANDs in all, and no scan of pairs of bases.
     """
     _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
     n = family.n
-    masks = [h.mask for h in family.bases]
-    index = frozenset(masks)
-    # avoid[e]: the bases that avoid element e + 1, as one m-bit int
-    avoid = [0] * n
-    for i, a in enumerate(masks):
-        rest = a ^ (1 << n) - 1
+    full, width = (1 << n) - 1, f"0{n}b"
+    # avoid[e]: the bases avoiding element e + 1, the columns of their complements' bit strings
+    avoid = [int("".join(column), 2) for column in zip(*[format(full ^ a, width) for a in family.masks])][::-1]
+    # fixers[S]: the elements y outside S with S + y a basis, as a mask
+    fixers = {}
+    get = fixers.get
+    for a in family.masks:
+        rest = a
         while rest:
             low = rest & -rest
-            avoid[low.bit_length() - 1] |= 1 << i
+            fixers[a ^ low] = get(a ^ low, 0) | low
             rest ^= low
-    planes = [(1 << e, plane) for e, plane in enumerate(avoid)]
-    for a in masks:
-        inside, outside = [], []
-        for ebit, plane in planes:
-            (inside if a & ebit else outside).append((ebit, plane))
-        for xbit, witnesses in inside:
-            stripped = a ^ xbit
-            for ybit, plane in outside:
-                if not witnesses:
-                    break
-                if stripped | ybit in index:
-                    witnesses &= plane
-            if witnesses:
-                return False
+    for ys in fixers.values():
+        witnesses = -1
+        while ys and witnesses:
+            low = ys & -ys
+            witnesses &= avoid[low.bit_length() - 1]
+            ys ^= low
+        if witnesses:
+            return False
     return True
 
 

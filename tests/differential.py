@@ -6,7 +6,8 @@ from the command table's tokens.  Each call gives one line: the entry point and 
 result's repr, or `-> raise` and the exception's class and message.  A command line shows its exit status, stdout
 and stderr.  `verify`'s elapsed time is masked, and a repr longer than `WIDTH` keeps its two ends, with its length
 and digest between them.  Each name draws from its own generator, seeded by the seed and the name, so adding a name
-moves no other name's lines.
+moves no other name's lines.  After the names come the misshapen calls (`MISSHAPEN`), each label with a generator
+of its own: one input that must be iterable gets a non-iterable, or a hand-built trace or row gets one bad field.
 
 Only the standard library is used.  `tests/test_differential.py` replays the golden seed against
 `tests/differential_golden.txt`, which the parent of each refactor generated.  Run it as a script to print the
@@ -29,6 +30,9 @@ import sys
 GOLDEN_SEED, GOLDEN_CALLS, GOLDEN_ARGVS = 21, 24, 400
 WIDTH = 200
 JUNK = (0, -1, 65, True, None, "1", 2.5, ())
+NON_ITERABLE = (0, -1, 65, True, None, 2.5)
+MISSHAPEN = ("BasisFamily.of", "GrassmannNecklace", "InvalidNecklaceError", "MinorTrace", "SquareRow", "Subset.of",
+             "necklace_violations")
 
 
 def show(value) -> str:
@@ -232,6 +236,37 @@ def _arguments(P, d: Draw, name):
     raise KeyError(f"no argument generator for {name}")
 
 
+def _misshapen(P, d: Draw, label):
+    """(label, callable, args) for one call of label with one misshapen input."""
+    rng, n, small = d.rng, d.n(), d.n(8)
+    junk = rng.choice(NON_ITERABLE)
+    if label == "Subset.of":
+        return label, P.Subset.of, (n, junk)
+    if label == "InvalidNecklaceError":
+        return label, P.InvalidNecklaceError, (junk,)
+    if label == "BasisFamily.of":
+        sets = [list(s.members) for s in d.family(small).sorted_bases()]
+        if rng.random() < 0.5:
+            sets[rng.randrange(len(sets))] = junk
+            return label, P.BasisFamily.of, (small, sets)
+        return label, P.BasisFamily.of, (small, junk)
+    if label in ("GrassmannNecklace", "necklace_violations"):
+        entries = list(d.necklace(n).entries)
+        if rng.random() < 0.5:
+            entries[rng.randrange(n)] = junk
+            return label, getattr(P, label), (entries,)
+        return label, getattr(P, label), (junk,)
+    p = d.perm(max(n, 2))
+    while p.images == tuple(range(1, p.n + 1)):
+        p = d.perm(p.n)
+    j = rng.choice([i for i in range(1, p.n + 1) if p.images[i - 1] != i])
+    trace = P.trace_minor(p, j, rng.choice(list(P.minors.MinorKind)))
+    record = trace if label == "MinorTrace" else trace.rows[rng.randrange(p.n)]
+    fields = [getattr(record, field) for field in record.__match_args__]
+    fields[rng.randrange(len(fields))] = rng.choice(JUNK)
+    return label, getattr(P, label), tuple(fields)
+
+
 def _call(label, fn, args) -> str:
     shown = ", ".join(map(show, args))
     try:
@@ -295,7 +330,7 @@ def _run(P, argv) -> str:
 
 
 def outcomes(seed=GOLDEN_SEED, calls=GOLDEN_CALLS, argvs=GOLDEN_ARGVS):
-    """The outcome lines: calls per public name, then argvs command lines."""
+    """The outcome lines: calls per public name, calls per misshapen label, then argvs command lines."""
     import positroids as P
     import positroids.cli
 
@@ -304,6 +339,10 @@ def outcomes(seed=GOLDEN_SEED, calls=GOLDEN_CALLS, argvs=GOLDEN_ARGVS):
         for _ in range(1 if name.isupper() else calls):
             label, fn, args = _arguments(P, d, name)
             yield f"{name} = {show(getattr(P, name))}" if fn is None else _call(label, fn, args)
+    for label in MISSHAPEN:
+        d = Draw(P, random.Random(f"{seed}:{label}:misshapen"))
+        for _ in range(calls):
+            yield _call(*_misshapen(P, d, label))
     d = Draw(P, random.Random(f"{seed}:cli"))
     for _ in range(argvs):
         yield _run(P, _argv(P, d))

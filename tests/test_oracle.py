@@ -1,8 +1,11 @@
 """Brute-force minors, recognition, enumeration, and the sweep verifier."""
 
 import concurrent.futures
+import math
 import weakref
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import hypothesis.strategies as st
 import pytest
@@ -27,9 +30,11 @@ from positroids import (
     oracle_contract,
     oracle_delete,
     oracle_necklace,
+    parse_bases,
     parse_perm,
     verify_all,
 )
+from positroids.core import _necklace
 
 
 def to_bits(family):
@@ -518,6 +523,55 @@ def test_check_matroid_matches_the_pairwise_reference_up_to_64(family):
 @settings(max_examples=100, deadline=None)
 def test_positroids_pass_basis_exchange_up_to_64(family):
     assert check_matroid(family)
+
+
+# The oracle's bodies as they were written on Subsets, before families held
+# masks: the mask bodies must give the same answers, right or wrong.
+
+
+def reference_oracle_contract(family, j):
+    n, bit = family.n, 1 << (j - 1)
+    kept = frozenset(Subset(n, h.mask ^ bit) for h in family.bases if h.mask & bit)
+    return BasisFamily(n, max(family.k - 1, 0), kept)
+
+
+def reference_oracle_delete(family, j):
+    bit = 1 << (j - 1)
+    return BasisFamily(family.n, family.k, frozenset(h for h in family.bases if not h.mask & bit))
+
+
+def reference_oracle_necklace(family):
+    n = family.n
+    rows = {format(h.mask, f"0{n}b")[::-1]: h.mask for h in family.bases}
+    return tuple(rows[max(rows, key=lambda row: row[t:] + row[:t])] for t in range(n))
+
+
+def reference_is_positroid(family):
+    # the minima of a family that is no matroid need not be a necklace, so they are wrapped unchecked
+    return bases_of(_necklace(reference_oracle_necklace(family))).bases == family.bases
+
+
+@given(st.one_of(equal_size_families(max_n=64), sparse_positroids(), perturbed_positroids()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_oracle_matches_the_subset_level_bodies(family, data):
+    j = data.draw(st.integers(1, family.n))
+    assert oracle_contract(family, j) == reference_oracle_contract(family, j)
+    assert oracle_delete(family, j) == reference_oracle_delete(family, j)
+    minima = reference_oracle_necklace(family)
+    assert oracle_necklace(family).masks == minima
+    # bases_of walks the k-subsets of the elements in some minimum but not all,
+    # past any budget on a random family at large n: those are left out
+    coloops, free = reduce(and_, minima), reduce(or_, minima) & ~reduce(and_, minima)
+    if math.comb(free.bit_count(), family.k - coloops.bit_count()) <= 5000:
+        assert is_positroid(family) == reference_is_positroid(family)
+
+
+def test_the_known_wrong_recognition_keeps_its_answers():
+    # no matroid, yet cut out by its Gale minima: is_positroid answers True
+    # here, which is wrong (ROADMAP.md, item 1), and both bodies agree on it
+    family = parse_bases("1,3;1,6;1,7;1,8;2,8;3,8;6,8;7,8", 8)
+    assert is_positroid(family) and reference_is_positroid(family)
+    assert not check_matroid(family) and not pairwise_exchange(family)
 
 
 def uniform_bases(k, n):

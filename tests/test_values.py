@@ -7,6 +7,8 @@ tests pin the replacement to the same bytes and the same behaviour.
 
 import copy
 import pickle
+from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -23,8 +25,12 @@ from positroids import (
     VerificationReport,
     apply_minor,
     bases_of,
+    bases_to_obj,
+    format_bases,
+    gale_leq,
     necklace_of,
     necklace_violations,
+    parse_bases,
     parse_perm,
     trace_minor,
 )
@@ -109,7 +115,7 @@ def test_match_args_name_the_fields_in_order():
         "DecoratedPermutation": ("images", "colors"),
         "GrassmannNecklace": ("masks",),
         "NecklaceViolation": ("index", "clause", "detail"),
-        "BasisFamily": ("n", "k", "bases"),
+        "BasisFamily": ("n", "k", "masks"),
         "MinorResult": ("perm", "degenerate"),
         "SquareRow": ("a", "entry", "minor_entry", "image", "minor_image", "swap", "case"),
         "MinorTrace": ("kind", "j", "source", "result", "rows"),
@@ -138,7 +144,7 @@ def test_checked_constructors_and_unchecked_builders_agree():
         (DecoratedPermutation((2, 1, 3), ((3, -1),)), core._perm((2, 1, 3), ((3, -1),))),
         (DecoratedPermutation.of([2, 1, 3], {3: -1}), parse_perm("2,1,3-")),
         (GrassmannNecklace(list(NECKLACE.entries)), core._necklace(NECKLACE.masks)),
-        (BasisFamily(8, 4, bases_of(NECKLACE).bases), core._family(8, 4, bases_of(NECKLACE).bases)),
+        (BasisFamily(8, 4, bases_of(NECKLACE).bases), core._family(8, 4, bases_of(NECKLACE).masks)),
         (BasisFamily(2, 1, frozenset({Subset.of(2, [1])})), BasisFamily.of(2, [[1]])),
     ]
     for checked, built in pairs:
@@ -219,3 +225,40 @@ def test_a_necklace_copies_with_its_entries_read():
         assert twin == necklace and hash(twin) == hash(necklace)
         assert twin.entries == entries and twin.masks == necklace.masks
         assert twin.entry(2) == necklace.entry(2)
+
+
+def reference_bases(p):
+    """The bases of p's positroid, Subset by Subset: the k-subsets Gale-above every necklace entry."""
+    necklace = necklace_of(p)
+    n = necklace.n
+    subsets = map(partial(Subset.of, n), combinations(range(1, n + 1), necklace.k))
+    return frozenset(h for h in subsets if all(gale_leq(necklace.entry(t), h, t) for t in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("text", ["6,1,4,8,2,7,3,5", "1-,2+,4,3", "2,3,1", "3,4,1,2", "1-", "2,1,3+,5,4"])
+def test_a_family_built_four_ways_is_one_value(text):
+    p = parse_perm(text)
+    bases = reference_bases(p)
+    n, k = p.n, len(next(iter(bases)))
+    ordered = sorted(bases, key=lambda s: s.members)
+    members = [list(s.members) for s in ordered]
+    built = [
+        BasisFamily(n, k, bases),
+        BasisFamily.of(n, [list(s) for s in bases]),
+        bases_of(necklace_of(p)),
+        parse_bases(";".join(",".join(map(str, m)) for m in members), n),
+    ]
+    others = [h for h in map(partial(Subset.of, n), combinations(range(1, n + 1), k)) if h not in bases]
+    for family in built:
+        assert family == built[0] and not family != built[0] and hash(family) == hash(built[0])
+        assert repr(family) == f"BasisFamily.of({n}, {members})"
+        assert format_bases(family) == ";".join(",".join(map(str, m)) for m in members)
+        assert bases_to_obj(family) == {"n": n, "k": k, "bases": members}
+        assert (family.n, family.k, family.bases, len(family)) == (n, k, bases, len(bases))
+        assert list(family) == family.sorted_bases() == ordered
+        assert all(h in family for h in bases) and not any(h in family for h in others)
+        # only a Subset on the family's ground set is a member; an unhashable value raises as a set lookup does
+        assert Subset.of(n + 1, ordered[0].members) not in family
+        assert ordered[0].members not in family and ordered[0].mask not in family and None not in family
+        with pytest.raises(TypeError, match="unhashable"):
+            [1] in family
