@@ -17,11 +17,12 @@ vectors; by Oh's theorem a necklace's family is the AND of its entries' cells.
 
 Many instances of a sweep give the same minor permutation, or keep the same
 bases through or avoiding j, so each sweep (`_Sweep`) keeps two tables: a
-minor's necklace masks and family bits, and a kept family's Gale minima with
-whether they cut that family out, which is the closure verdict for either
-kind.  `_verify_instance` says why neither table can change the report.
-A table is emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep
-returns, so each worker of a parallel sweep has its own.
+minor's necklace masks and family bits, with its colour flip's masks and loop
+verdict at each j met, and a kept family's Gale minima with whether they cut
+that family out, which is the closure verdict for either kind.
+`_verify_instance` says why neither table can change the report.  A table is
+emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep returns, so
+each worker of a parallel sweep has its own.
 
 `check_matroid` tests basis exchange on one witness plane per element
 instead, with no 2^n-bit vector, at every n up to 64.
@@ -64,8 +65,8 @@ from .minors import (
 ENUMERATION_CAP = 10
 
 # Entries one table of a sweep holds before it is emptied (`_Sweep`).  Every
-# table of n <= 6 fits; a serial n = 8 sweep peaked at 23 MiB with this cap
-# and at 86 MiB with none, against 16 MiB with no tables (Python 3.11, x86-64).
+# table of n <= 6 fits; a serial n = 8 sweep peaked at 26.5 MiB with this cap
+# and 116.1 MiB with none, against 16.3 MiB with no tables (Python 3.11, x86-64).
 # Evicting the older half instead stored 10% fewer entries at n = 8 but took
 # as long and peaked 1.4 MiB higher, so a full table is emptied.
 SWEEP_TABLE_CAP = 1 << 13
@@ -298,13 +299,17 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     filled on a miss by `_Sweep`.  `sweep.minors` is keyed by the minor
     permutation, images and colours, and gives its necklace's masks and
     their family bits for the "oracle", "necklace-agreement" and "structure"
-    checks.  `sweep.kept` is keyed by the kept family's bit vector and gives
+    checks, and two rows filled here at each j met: the colour-flipped
+    necklace's masks for "color-flip" and the loop verdict for "structure".
+    Only a key that passed the permutation guard is stored, so a hit skips
+    it.  `sweep.kept` is keyed by the kept family's bit vector and gives
     its Gale minima, None when it is empty, for "necklace-formula", and
     whether those minima cut the kept family out, for "closure".  Each table
     holds at most `SWEEP_TABLE_CAP` entries.  The calls they stand for are
-    pure and a call that raises stores nothing, so every check sees the
-    inputs, and every instance the exceptions, that it would with no table,
-    and the report cannot change.
+    pure and depend on the key and j alone, and a call that raises stores
+    nothing, so every check sees the inputs, and every instance the
+    exceptions in the same order, that it would with no table, and the
+    report cannot change.
 
     Closure asks whether the oracle family is cut out by its Gale minima,
     and the kept family answers for both kinds.  Restricting, the two are
@@ -320,9 +325,12 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     k = necklace.k
     contracting = kind is MinorKind.CONTRACTION
     result = (contract if contracting else restrict)(p, j)
+    key = (result.images, result.colors)
+    entry = sweep.minors.get(key)
     # the walks build their results unchecked: images that are not a
-    # permutation go through the checking constructor, which raises
-    if frozenset(result.images) != sweep.ground:
+    # permutation go through the checking constructor, which raises; a
+    # stored key has passed this already
+    if entry is None and frozenset(result.images) != sweep.ground:
         DecoratedPermutation(result.images, result.colors)
     if _degenerate(p, j, contracting):
         if result != sweep.identity:
@@ -337,8 +345,7 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
         kept = family & planes[j - 1]
     else:
         oracle_family = kept = _delete_bits(family, planes, j)
-    key = (result.images, result.colors)
-    result_masks, result_family = sweep.minors.get(key) or sweep.add_minor(key, result)
+    result_masks, result_family, flips, loops = entry or sweep.add_minor(key, result)
     if result_family != oracle_family:
         failures.append("oracle")
     minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
@@ -350,8 +357,12 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
     agreed = tuple([m & ~bit for m in minor_necklace.masks]) if contracting else minor_necklace.masks
     if result_masks != agreed:
         failures.append("necklace-agreement")
-    if contracting and necklace_of(result.with_color(j, -1)) != minor_necklace:
-        failures.append("color-flip")
+    if contracting:
+        flip = flips[j - 1]
+        if flip is None:
+            flip = flips[j - 1] = necklace_of(result.with_color(j, -1)).masks
+        if flip != minor_necklace.masks:
+            failures.append("color-flip")
     if p.images[j - 1] == j:
         # a non-degenerate fixed j becomes a loop (a restricted one already is)
         if result != p.with_color(j, 1):
@@ -360,7 +371,10 @@ def _verify_instance(p, necklace, family, j, kind, sweep):
         failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
     if not closed:
         failures.append("closure")
-    if loop_coloop_status(result, j) != "loop" or result_masks[0].bit_count() != (k - 1 if contracting else k):
+    is_loop = loops[j - 1]
+    if is_loop is None:
+        is_loop = loops[j - 1] = loop_coloop_status(result, j) == "loop"
+    if not is_loop or result_masks[0].bit_count() != (k - 1 if contracting else k):
         failures.append("structure")
     return False, failures
 
@@ -415,9 +429,10 @@ class _Sweep:
         self.kept = {}
 
     def add_minor(self, key, result):
-        """Store and return, under key, the masks of necklace_of(result) and their family bits."""
+        """Store and return, under key, necklace_of(result)'s masks, their family bits and two empty per-j rows."""
         masks = necklace_of(result).masks
-        return _keep(self.minors, key, (masks, _family_bits(self.uppers, masks)))
+        row = [None] * len(self.ground)
+        return _keep(self.minors, key, (masks, _family_bits(self.uppers, masks), row, row[:]))
 
     def add_kept(self, kept):
         """Store and return, under kept, its Gale minima (None when empty) and whether they cut it out."""

@@ -4,7 +4,8 @@ Each row plants one deliberate fault, patched onto the module that defines
 the function and onto the oracle's binding of it, runs `verify_all(4)` and
 asserts the exact failure tags and the first failure the sweep reports.
 Across the table every tag the verifier can emit appears at least once, so
-a check that stops firing fails this file.
+a check that stops firing fails this file.  Every row runs again with sweep
+tables that store nothing, so a table cannot hide or change a report.
 """
 
 import pytest
@@ -196,6 +197,15 @@ def contract_keeping_a_coloop(real):
     return contract
 
 
+def loop_1_read_as_a_coloop(real):
+    # the loop 1 is misreported, whatever the permutation
+    def loop_coloop_status(p, i):
+        status = real(p, i)
+        return "coloop" if i == 1 and status == "loop" else status
+
+    return loop_coloop_status
+
+
 def contract_indexing_past_the_end(real):
     # the walk reads the image after j's image 0-based, off the end of the
     # images when j goes to n: a crash, not an invalid value
@@ -326,6 +336,13 @@ GATE = [
         "perm=1-,2-,3-,4- j=1 kind=contraction: oracle, necklace-agreement, convention, structure",
         id="contract-keeps-a-coloop",
     ),
+    # the sweep reads a minor's loop verdict once per j, through this binding
+    pytest.param(
+        "loop_coloop_status", loop_1_read_as_a_coloop,
+        {"structure": 98},
+        "perm=1-,2-,3-,4- j=1 kind=contraction: structure",
+        id="loop-1-read-as-a-coloop",
+    ),
 ]
 
 TAGS = {
@@ -349,6 +366,30 @@ def test_planted_fault_is_reported(monkeypatch, name, fault, failures, first):
     plant(monkeypatch, name, fault)
     report = verify_all(4)
     assert report.mismatches > 0
+    assert report.check_failures == failures
+    assert report.first_failure == f"n=4 {first}"
+
+
+@pytest.mark.parametrize("name, fault, failures, first", GATE)
+def test_planted_fault_is_reported_with_no_table(monkeypatch, name, fault, failures, first):
+    # the sweep's tables only stand in for pure calls: a sweep that stores
+    # nothing, and so makes every call afresh, gives the same report
+    class Table(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    tables = []
+
+    class Sweep(positroids.oracle._Sweep):
+        def __init__(self, n):
+            super().__init__(n)
+            self.minors, self.kept = Table(), Table()
+            tables.extend([self.minors, self.kept])
+
+    monkeypatch.setattr(positroids.oracle, "_Sweep", Sweep)
+    plant(monkeypatch, name, fault)
+    report = verify_all(4)
+    assert len(tables) == 2 and not any(tables)
     assert report.check_failures == failures
     assert report.first_failure == f"n=4 {first}"
 

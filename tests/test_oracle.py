@@ -22,9 +22,11 @@ from positroids import (
     ValidationError,
     bases_of,
     check_matroid,
+    contract,
     enumerate_decorated_perms,
     format_perm,
     gale_leq,
+    is_degenerate,
     is_positroid,
     necklace_of,
     oracle_contract,
@@ -32,6 +34,7 @@ from positroids import (
     oracle_necklace,
     parse_bases,
     parse_perm,
+    restrict,
     verify_all,
 )
 from positroids.core import _necklace
@@ -291,6 +294,28 @@ class TestSweepTables:
             # never above the cap, and emptied more than once
             assert max(seen) == 3
             assert seen.count(1) > 2
+
+    def test_each_distinct_minor_and_j_is_checked_once(self, monkeypatch):
+        # n = 5 fills 206 minors and 282 kept families, far below the cap,
+        # so no entry is dropped and made again
+        n, counts = 5, dict.fromkeys(["necklace_of", "loop_coloop_status"], 0)
+        for name in counts:
+            def counted(*args, real=getattr(positroids.oracle, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(positroids.oracle, name, counted)
+        assert verify_all(n).mismatches == 0
+        perms = list(enumerate_decorated_perms(n))
+        # (minor, j) of every instance that is not degenerate, per kind
+        met = {kind: {(walk(p, j), j) for p in perms for j in range(1, n + 1) if not is_degenerate(p, j, kind)}
+               for kind, walk in ((MinorKind.CONTRACTION, contract), (MinorKind.RESTRICTION, restrict))}
+        minor_js = met[MinorKind.CONTRACTION] | met[MinorKind.RESTRICTION]
+        minors = {minor for minor, _ in minor_js}
+        # once per permutation, per distinct minor and per distinct contracted (minor, j)
+        assert counts["necklace_of"] == len(perms) + len(minors) + len(met[MinorKind.CONTRACTION])
+        assert counts["loop_coloop_status"] == len(minor_js)
+        assert (len(perms), len(minors), len(minor_js)) == (326, 206, 325)
 
     def test_no_table_outlives_the_sweep(self, monkeypatch):
         class Table(dict):
