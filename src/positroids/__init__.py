@@ -1,12 +1,12 @@
 """Positroids: decorated permutations, Grassmann necklaces, and their minors.
 
 `import positroids` loads `core` alone and takes the names in its `__all__`.
-The names that `minors`, `oracle` and `orders` define, and those submodules
-themselves, resolve on first use through the module `__getattr__` (PEP 562),
-which imports the defining module then.  A one-shot call that needs only
-`core`, such as `positroids necklace`, so never compiles or runs the others:
-where Python writes no bytecode cache, every process pays that cost again for
-each module it imports.
+The names that `families`, `minors`, `oracle` and `orders` define, and those
+submodules themselves, resolve on first use through the module `__getattr__`
+(PEP 562), which imports the defining module then.  A one-shot call that needs
+only `core`, such as `positroids necklace`, so never compiles or runs the
+others: where Python writes no bytecode cache, every process pays that cost
+again for each module it imports.
 """
 
 import importlib
@@ -27,6 +27,7 @@ _LAZY = {
         "enumerate_decorated_perms", "is_positroid", "oracle_contract", "oracle_delete",
         "oracle_necklace", "verify_all",
     ), "oracle"),
+    **dict.fromkeys(("BasisFamily", "bases_of", "bases_to_obj", "format_bases", "parse_bases"), "families"),
     **dict.fromkeys((
         "cyclic_lt", "gale_extremum", "gale_leq", "in_cyclic_interval", "necklace_step", "pred", "succ",
     ), "orders"),

@@ -1,18 +1,19 @@
 """Command line front end for the positroid minor operations.
 
 Only `core` loads with this module.  A call is one short process, and where Python writes no bytecode cache each
-module it imports is compiled again, so each handler imports what it needs beyond `core` when it runs: `contract` and
-`restrict` load `minors`, `is-positroid` and `verify` load `oracle`, and `--format json` loads `json`.  For the same
-reason argv is read in one pass against a table of commands, by the standard library parser's rules and messages but
-without it: importing it (with `gettext` and `locale`) and building its seven subparsers made a cold `necklace` call
-about 4 ms slower, 87 ms against 83 ms (medians of 60 alternating runs, 2-core x86, Python 3.11, no bytecode cache).
+module it imports is compiled again, so each handler imports what it needs beyond `core` when it runs: `bases` loads
+`families`, `contract` and `restrict` `minors`, `is-positroid` and `verify` `oracle` (which loads both), and
+`--format json` loads `json`.  For the same reason argv is read in one pass against a table of commands, by the
+standard library parser's rules and messages but without it: importing it (with `gettext` and `locale`) and building
+its seven subparsers made a cold `necklace` call about 4 ms slower, 87 ms against 83 ms (medians of 60 alternating
+runs, 2-core x86, Python 3.11, no bytecode cache).
 """
 
 import sys
 
 from .core import (
-    PositroidError, ValidationError, bases_of, bases_to_obj, format_bases, format_necklace, format_perm,
-    necklace_of, necklace_to_obj, parse_bases, parse_necklace, parse_perm, perm_of, perm_to_obj,
+    PositroidError, ValidationError, format_necklace, format_perm, necklace_of, necklace_to_obj, parse_necklace,
+    parse_perm, perm_of, perm_to_obj,
 )
 
 
@@ -42,6 +43,8 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_bases(args) -> int:
+    from .families import bases_of, bases_to_obj, format_bases
+
     if args["perm"] is not None:
         necklace = necklace_of(parse_perm(_read_arg(args["perm"])))
     else:
@@ -77,6 +80,7 @@ def _cmd_minor(args, kind: str) -> int:
 
 
 def _cmd_is_positroid(args) -> int:
+    from .families import parse_bases
     from .oracle import check_matroid, is_positroid
 
     family = parse_bases(_read_arg(args["bases"]), args["n"])

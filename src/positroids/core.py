@@ -8,41 +8,37 @@ A positroid can be recorded in three interchangeable forms:
   a step rule (I_{i+1} is I_i with i swapped out, or I_i unchanged),
 * the explicit family of its bases.
 
-This module holds the value types, the bijection between decorated
-permutations and necklaces, and basis enumeration from a necklace via Gale
-bounds; `orders` holds the cyclic and Gale orders as checked public functions,
-and `__all__` lists what `positroids` takes from here.  Every function is pure
-and every value is immutable: a value type derives from `_Value`, its
-constructor stores the fields in `__dict__`, and assigning or deleting one
-raises `AttributeError`.
-`repr`, `==` and `hash` read the fields in order, as a frozen data class's
-would.  The library uses no data classes, whose module loads `inspect`, `ast`,
-`dis` and `tokenize`: several milliseconds of a one-shot CLI call.  Ground
-sets are capped at 64 elements so subsets fit in a machine word.
+This module holds the value types and the bijection between decorated
+permutations and necklaces; `families` holds the basis families, enumerated
+from a necklace's Gale bounds, and `orders` the cyclic and Gale orders as
+checked public functions.  `__all__` lists what `positroids` takes from here.
+Every function is pure and every value is immutable: a value type derives
+from `_Value`, its constructor stores the fields in `__dict__`, and assigning
+or deleting one raises `AttributeError`.  `repr`, `==` and `hash` read the
+fields in order, as a frozen data class's would.  The library uses no data
+classes, whose module loads `inspect`, `ast`, `dis` and `tokenize`: several
+milliseconds of a one-shot CLI call.  Ground sets are capped at 64 elements so
+subsets fit in a machine word.
 
 Validation happens once, at the boundary: the public constructors and their
 builders, the parsers and the public functions check what they are given, each
 input rule through its one checker (`_check_count`, `_check_element`,
 `_check_color`, and `_check_type` for an argument of another type).  Values
 built from values already checked are made with the private `_subset`,
-`_perm`, `_necklace` and `_family`, which skip the checks, and the hot loops
-and the checks themselves read masks and image tuples directly.  The walks
-`minors.contract` and `restrict` build their results unchecked too, and the
-sweep guards that each is a permutation, so that a faulty walk is reported
-rather than trusted.  One exception:
-`oracle.oracle_necklace` returns the Gale minima of any family unchecked,
-and for a family that is not a matroid they need not form a Grassmann
-necklace.
+`_perm`, `_necklace` and `families._family`, which skip the checks, and the
+hot loops and the checks themselves read masks and image tuples directly.  The
+walks `minors.contract` and `restrict` build their results unchecked too, and
+the sweep guards that each is a permutation, so that a faulty walk is reported
+rather than trusted.  One exception: `oracle.oracle_necklace` returns the Gale
+minima of any family unchecked, and for a family that is not a matroid they
+need not form a Grassmann necklace.
 
 A necklace holds the masks of its entries, one int each, and `_necklace`
 takes those masks.  Its `Subset` entries are built only when a caller reads
 `entries` or `entry(r)`, so the conversions, the swap formulas, the text and
-JSON forms, the traces and the sweep never build one; the step rule
-is checked on masks by `_mask_violations`, which `necklace_violations` and
-`parse_necklace` share.  A basis family likewise holds its bases' `masks`,
-a frozenset of ints, which `_family` takes: `bases_of`, `parse_bases`, the
-text and JSON forms and the oracle read them, and the `Subset`s of `bases`
-are built only when a caller reads it.
+JSON forms, the traces and the sweep never build one; the step rule is checked
+on masks by `_mask_violations`, which `necklace_violations` and
+`parse_necklace` share.  A basis family likewise holds its bases' masks.
 
 Subsets and permutations cross the text boundary by constant tables built
 at import.  Out, a mask's members are read a hexadecimal digit at a time
@@ -58,26 +54,18 @@ and reports the first bad entry or token.
 
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import and_, getitem, or_
+from operator import getitem
 
 __all__ = [
-    "MAX_GROUND_SET", "BasisFamily", "DecoratedPermutation", "GrassmannNecklace", "InvalidNecklaceError",
-    "NecklaceViolation", "PositroidError", "PreconditionError", "Subset", "ValidationError", "bases_of",
-    "bases_to_obj", "dual", "format_bases", "format_necklace", "format_perm", "format_subset", "loop_coloop_status",
-    "necklace_of", "necklace_to_obj", "necklace_violations", "parse_bases", "parse_necklace", "parse_perm",
-    "parse_subset", "perm_of", "perm_to_obj", "validate_necklace",
+    "MAX_GROUND_SET", "DecoratedPermutation", "GrassmannNecklace", "InvalidNecklaceError", "NecklaceViolation",
+    "PositroidError", "PreconditionError", "Subset", "ValidationError", "dual", "format_necklace", "format_perm",
+    "format_subset", "loop_coloop_status", "necklace_of", "necklace_to_obj", "necklace_violations", "parse_necklace",
+    "parse_perm", "parse_subset", "perm_of", "perm_to_obj", "validate_necklace",
 ]
 
 MAX_GROUND_SET = 64
-
-# Row r maps a hexadecimal digit d to the members 4r + 1 ... 4r + 4 that d
-# holds: 16 rows of 16 entries each.
-_CHUNK_MEMBERS = tuple(
-    {f"{d:x}": tuple(4 * r + i for i in range(1, 5) if d >> (i - 1) & 1) for d in range(16)}
-    for r in range(MAX_GROUND_SET // 4)
-)
 
 
 def _byte_row(r: int) -> tuple[str, ...]:
@@ -93,9 +81,19 @@ def _byte_row(r: int) -> tuple[str, ...]:
     return tuple(texts)
 
 
+def _chunk_row(r: int) -> dict[str, tuple[int, ...]]:
+    """Row r of `_CHUNK_MEMBERS`: hex digit d to the members 4r + 1 ... 4r + 4 that d holds, doubled as above."""
+    members = [()]
+    for e in range(4 * r + 1, 4 * r + 5):
+        members += [m + (e,) for m in members]
+    return dict(zip("0123456789abcdef", members))
+
+
 # 8 rows of 256 entries: joining the rows of a mask's 8 bytes, lowest first,
 # and dropping the last character gives its comma-joined members.
 _BYTE_TEXT = tuple(map(_byte_row, range(MAX_GROUND_SET // 8)))
+# 16 rows of 16 entries each
+_CHUNK_MEMBERS = tuple(map(_chunk_row, range(MAX_GROUND_SET // 4)))
 _TOKEN_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND_SET + 1)}
 # Each canonical image token, with or without a sign, to its image; `_SIGN`
 # reads the sign, and a token without one is not in it.
@@ -510,6 +508,8 @@ class GrassmannNecklace(_Value):
 
     def entry(self, r: int) -> Subset:
         """Entry I_r, with r read cyclically (any integer works)."""
+        if not isinstance(r, int):
+            raise ValidationError(f"entry index {r!r} is not an integer")
         return self.entries[(r - 1) % self.n]
 
     def __repr__(self) -> str:
@@ -645,134 +645,16 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
     return DecoratedPermutation.of(tuple(images), colors)
 
 
-def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
-    """All k-subsets lying Gale-above every necklace entry.
-
-    H is a basis exactly when I_t <=_t H for each starting point t; the
-    necklace entries are the Gale minima of the family they cut out.  Each
-    bound is a list of prefix-count tests (`_gale_bounds`); the tests of all
-    n entries are pooled, less duplicates and those every k-subset passes.
-    The bounds keep every coloop (in all entries) and no loop (in no entry),
-    so the coloops join each candidate and the rest are chosen among the
-    elements in some entries but not all.
-    """
-    _check_type(necklace, GrassmannNecklace)
-    from itertools import combinations
-
-    masks = necklace.masks
-    n, k = len(masks), masks[0].bit_count()
-    coloops = reduce(and_, masks)
-    free = reduce(or_, masks) & ~coloops
-    bounds = {pair for t, mask in enumerate(masks, start=1) for pair in _gale_bounds(mask, t, n)}
-    tests = [(prefix, count) for prefix, count in bounds if prefix.bit_count() > count]
-    found = []
-    for combo in combinations([1 << p for p in range(n) if free >> p & 1], k - coloops.bit_count()):
-        mask = coloops + sum(combo)
-        for prefix, count in tests:
-            if (mask & prefix).bit_count() > count:
-                break
-        else:
-            found.append(mask)
-    return _family(n, k, frozenset(found))
-
-
-class BasisFamily(_Value):
-    """Family of k-subsets of {1, ..., n}, the bases of a rank-k matroid.
-
-    A real family is nonempty; the empty value exists only as a sentinel for
-    minor operations that kill every basis (build it with BasisFamily.empty).
-    The constructor checks n, the rank k and that every basis is a k-subset
-    of {1, ..., n}.  What is stored is `masks`, the bases' bitmasks, which
-    equality and hashing use; `bases`, the Subsets, is built on first read.
-    """
-
-    __match_args__ = ("n", "k", "masks")
-
-    def __init__(self, n: int, k: int, bases: frozenset[Subset]) -> None:
-        _check_count(n)
-        if k.__class__ is bool or not isinstance(k, int) or not 0 <= k <= n:
-            raise ValidationError(f"rank {k!r} out of range for n={n}")
-        if not isinstance(bases, frozenset):
-            raise ValidationError("bases must be a frozenset; BasisFamily.of takes other forms")
-        for b in bases:
-            _check_basis(b, n, k)
-        self.__dict__.update(n=n, k=k, masks=frozenset([b.mask for b in bases]), bases=bases)
-
-    @classmethod
-    def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
-        _check_count(n)
-        _check_iterable(sets, "sets")
-        collected, k = set(), None
-        for s in sets:
-            # a value that is neither a Subset nor iterable goes to _check_basis, which rejects it
-            sub = s if isinstance(s, Subset) or not isinstance(s, Iterable) else Subset.of(n, s)
-            if k is None and isinstance(sub, Subset):
-                k = len(sub)  # the first basis sets the rank
-            _check_basis(sub, n, k)
-            collected.add(sub)
-        if k is None:
-            raise ValidationError("a basis family needs at least one basis")
-        return cls(n, k, frozenset(collected))  # which keeps the Subsets as `bases`
-
-    @classmethod
-    def empty(cls, n: int, k: int) -> "BasisFamily":
-        return cls(n, k, frozenset())
-
-    @cached_property
-    def bases(self) -> frozenset[Subset]:
-        return frozenset(self.sorted_bases())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.masks
-
-    def _sorted_masks(self) -> list[int]:
-        # in members' order: of two k-subsets, first the one whose bit string, element 1 first, is greater
-        return sorted(self.masks, key=lambda mask: f"{mask:0{self.n}b}"[::-1], reverse=True)
-
-    def sorted_bases(self) -> list[Subset]:
-        return [_subset(self.n, mask) for mask in self._sorted_masks()]
-
-    def __contains__(self, s: Subset) -> bool:
-        hash(s)  # an unhashable value raises TypeError, as a set lookup does
-        return s.__class__ is Subset and s.n == self.n and s.mask in self.masks
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.sorted_bases())
-
-    def __repr__(self) -> str:
-        return f"BasisFamily.of({self.n}, {[list(_members(mask)) for mask in self._sorted_masks()]})"
-
-
-def _check_basis(b: Subset, n: int, k: int) -> None:
-    """Check b, a basis of a rank-k family: a k-subset of {1, ..., n}."""
-    if not isinstance(b, Subset):
-        raise ValidationError(f"basis {b!r} is not a Subset")
-    if b.n != n:
-        raise ValidationError(f"basis {b} lives on n={b.n}, expected n={n}")
-    if b.mask.bit_count() != k:
-        raise ValidationError(f"basis {b} has size {len(b)}, expected {k}")
-
-
-def _family(n: int, k: int, masks: frozenset[int]) -> BasisFamily:
-    """A family with these basis masks, without the checks, for k-subsets known to live on n."""
-    family = object.__new__(BasisFamily)
-    family.__dict__.update(n=n, k=k, masks=masks)
-    return family
-
-
 # ---------------------------------------------------------------------------
 # Text and object forms.
 #
 # Decorated permutation: comma-separated images, every fixed point suffixed
 # with its sign, e.g. "8,1,4,2,5+,7,3,6".  Necklace: entries joined by
 # semicolons, each a comma-separated increasing subset, e.g. "1,2;2,3;1,3".
-# Basis families use the necklace separator.  Whitespace is ignored.
+# Whitespace is ignored.  `re` compiles `_IMAGE_TOKEN` (and caches it) only
+# when a permutation text leaves the table path.
 
-_IMAGE_TOKEN = re.compile(r"(\d+)([+-])?\Z")
+_IMAGE_TOKEN = r"(\d+)([+-])?\Z"
 
 
 def format_perm(p: DecoratedPermutation) -> str:
@@ -819,7 +701,7 @@ def parse_perm(text: str) -> DecoratedPermutation:
     colors = {}
     seen = {}
     for pos, tok in enumerate(toks, start=1):
-        m = _IMAGE_TOKEN.match(tok)
+        m = re.match(_IMAGE_TOKEN, tok)
         if not m:
             raise ValidationError(f"token {pos}: {tok!r} is not an image with an optional sign")
         v = int(m.group(1))
@@ -915,50 +797,6 @@ def parse_necklace(text: str) -> GrassmannNecklace:
     return _necklace(tuple(masks))
 
 
-def format_bases(family: BasisFamily) -> str:
-    _check_type(family, BasisFamily)
-    return ";".join(map(_format_mask, family._sorted_masks()))
-
-
-def _infer_n(s: str) -> int:
-    """Ground set size named by a whitespace-free basis list: its largest element."""
-    tokens = s.replace(";", ",").split(",")
-    distinct = set(tokens) - {""}
-    if distinct and distinct <= _TOKEN_BIT.keys():
-        return max(map(_TOKEN_BIT.__getitem__, distinct)).bit_length()
-    elements = []
-    for tok in filter(None, tokens):
-        try:
-            elements.append(int(tok))
-        except ValueError:
-            raise ValidationError(f"basis list has a non-integer entry {tok!r}") from None
-    if not elements:
-        raise ValidationError("cannot infer the ground set size; pass n explicitly")
-    if max(elements) < 1:
-        raise ValidationError(f"element {elements[0]} is out of range: elements start at 1")
-    return max(elements)
-
-
-def parse_bases(text: str, n: int | None = None) -> BasisFamily:
-    _check_type(text, str)
-    s = "".join(text.split())
-    if not s:
-        raise ValidationError("empty basis family")
-    if n is None:
-        n = _infer_n(s)
-    parts = s.split(";")
-    masks = list(map(_token_mask, parts))
-    # n is checked once every token is in the table, as `_read_mask` checks it
-    # at the first part; otherwise the int() path reads or reports each part
-    if min(masks) < 0 or _check_count(n) or max(masks) >> n:
-        masks = [_read_mask(part, part, n) for part in parts]
-    k = masks[0].bit_count()  # the first basis sets the rank
-    for mask in masks:
-        if mask.bit_count() != k:
-            raise ValidationError(f"basis {{{_format_mask(mask)}}} has size {mask.bit_count()}, expected {k}")
-    return _family(n, k, frozenset(masks))
-
-
 def perm_to_obj(p: DecoratedPermutation) -> dict:
     _check_type(p, DecoratedPermutation)
     return {
@@ -974,13 +812,4 @@ def necklace_to_obj(necklace: GrassmannNecklace) -> dict:
         "n": necklace.n,
         "k": necklace.k,
         "entries": [list(_members(mask)) for mask in necklace.masks],
-    }
-
-
-def bases_to_obj(family: BasisFamily) -> dict:
-    _check_type(family, BasisFamily)
-    return {
-        "n": family.n,
-        "k": family.k,
-        "bases": [list(_members(mask)) for mask in family._sorted_masks()],
     }

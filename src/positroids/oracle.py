@@ -6,8 +6,8 @@ it serves as an independent check of both.  Sizes are desk-scale:
 enumeration walks all n! * 2^(fixed points) decorated permutations, so n
 is capped.
 
-The public functions take and return `BasisFamily` values at any n and read
-their `masks`, building no `Subset`.  Inside
+The public functions take and return `families.BasisFamily` values at any n
+and read their `masks`, building no `Subset`.  Inside
 the sweep a family is a bit vector of 2^n bits instead, one int whose bit m
 is set when the subset with mask m is a basis, so that minors, Gale minima
 and family equality are a few big-int operations each; the set-based public
@@ -35,7 +35,6 @@ from itertools import permutations, product
 from operator import and_, itemgetter
 
 from .core import (
-    BasisFamily,
     DecoratedPermutation,
     GrassmannNecklace,
     PreconditionError,
@@ -44,15 +43,14 @@ from .core import (
     _check_count,
     _check_element,
     _check_type,
-    _family,
     _necklace,
     _perm,
-    bases_of,
     format_perm,
     loop_coloop_status,
     necklace_of,
     perm_of,
 )
+from .families import BasisFamily, _family, bases_of
 from .minors import (
     MinorKind,
     _degenerate,
@@ -64,11 +62,12 @@ from .minors import (
 
 ENUMERATION_CAP = 10
 
-# Entries one table of a sweep holds before it is emptied (`_Sweep`).  Every
-# table of n <= 6 fits; a serial n = 8 sweep peaked at 26.5 MiB with this cap
-# and 116.1 MiB with none, against 16.3 MiB with no tables (Python 3.11, x86-64).
-# Evicting the older half instead stored 10% fewer entries at n = 8 but took
-# as long and peaked 1.4 MiB higher, so a full table is emptied.
+# Entries one table of a sweep holds before it is emptied (`_Sweep`); every
+# table of n <= 6 fits.  At n = 8 a serial sweep took 31.8 s at 26.5 MiB with
+# this cap, 30.2 s at 38.4 MiB with 2^14 and 28.9 s at 58.7 MiB with 2^15 (two
+# workers: 16.7, 15.8 and 15.3 s at 24.6, 35.5 and 57.0 MiB each; Python 3.11,
+# x86-64), so only this cap keeps a worker within 32 MiB.  A full table is
+# emptied: evicting its older half took as long and peaked 1.4 MiB higher.
 SWEEP_TABLE_CAP = 1 << 13
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})
@@ -516,7 +515,10 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     deterministically.  Every argument is checked before any work starts.
     """
     _check_enumerable(n)
-    kinds = frozenset(kinds)
+    try:
+        kinds = frozenset(kinds)
+    except TypeError:  # not iterable, or an unhashable member, which is no kind either
+        kinds = None
     if not kinds or not kinds <= BOTH_KINDS:
         raise ValidationError("kinds must be a nonempty subset of {contraction, restriction}")
     _check_count(jobs, "jobs", None)

@@ -1,6 +1,6 @@
 """The cyclic and Gale orders on {1, ..., n} and the necklace step rule, one checked call at a time.
 
-No command or sweep calls these (`bases_of` and the necklace minors use `core`'s mask helpers), so `positroids`
+No command or sweep calls these (`families.bases_of` and the necklace minors use `core`'s mask helpers), so `positroids`
 loads this module on the first read of one of its names, and a one-shot command never compiles it.
 """
 

@@ -1,10 +1,10 @@
 """What a fresh process loads and prints: the package surface after lazy loading.
 
-`import positroids` loads `core` alone and resolves the names of `minors`,
-`oracle` and `orders` on first use, and each CLI handler imports what it needs
-when it runs.  In this test process every module is loaded already, so a
-handler that forgot its import would still pass the in-process tests; the
-checks here that matter run in a new interpreter.
+`import positroids` loads `core` alone and resolves the names of `families`,
+`minors`, `oracle` and `orders` on first use, and each CLI handler imports
+what it needs when it runs.  In this test process every module is loaded
+already, so a handler that forgot its import would still pass the in-process
+tests; the checks here that matter run in a new interpreter.
 """
 
 import json
@@ -27,7 +27,9 @@ PACKAGE_ROOT = str(Path(positroids.__file__).resolve().parents[1])
 
 GOLDEN_PERM = "6,1,4,8,2,7,3,5"
 GOLDEN_NECKLACE = "1,2,3,5;2,3,5,6;1,3,5,6;1,4,5,6;1,5,6,8;1,2,6,8;1,2,7,8;1,2,3,8"
-LAZY_MODULES = ("positroids.minors", "positroids.oracle", "positroids.orders", "json")
+LAZY_MODULES = ("positroids.families", "positroids.minors", "positroids.oracle", "positroids.orders", "json")
+# what loading oracle loads of this package
+ORACLE_MODULES = {"positroids.families", "positroids.minors", "positroids.oracle"}
 # what importing dataclasses would load, and the module a future import loads; no command needs any of them
 UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
 # what importing argparse would load; the command table reads argv without them
@@ -141,12 +143,12 @@ def at_bare_start():
         (None, set()),
         (["necklace", "--perm", GOLDEN_PERM], set()),
         (["perm", "--necklace", GOLDEN_NECKLACE], set()),
-        (["bases", "--perm", GOLDEN_PERM], set()),
+        (["bases", "--perm", GOLDEN_PERM], {"positroids.families"}),
         (["restrict", "--perm", GOLDEN_PERM, "-j", "5", "--trace"], {"positroids.minors"}),
         (["contract", "--format", "json", "--perm", GOLDEN_PERM, "-j", "3"], {"positroids.minors", "json"}),
         (["necklace", "--format", "json", "--perm", GOLDEN_PERM], {"json"}),
-        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], {"positroids.minors", "positroids.oracle"}),
-        (["verify", "--max-n", "3"], {"positroids.minors", "positroids.oracle"}),
+        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], ORACLE_MODULES),
+        (["verify", "--max-n", "3"], ORACLE_MODULES),
     ],
     ids=["import positroids", "necklace", "perm", "bases", "restrict --trace", "contract json", "necklace json",
          "is-positroid", "verify"],
@@ -159,3 +161,8 @@ def test_what_a_fresh_process_loads(at_bare_start, argv, loads):
 def test_reading_an_order_helper_loads_orders_alone(at_bare_start):
     loads = loaded_after("import positroids\npositroids.gale_leq")
     assert loads - at_bare_start == {"positroids.orders"} - at_bare_start
+
+
+def test_reading_a_family_name_loads_families_alone(at_bare_start):
+    loads = loaded_after("import positroids\npositroids.BasisFamily")
+    assert loads - at_bare_start == {"positroids.families"} - at_bare_start
