@@ -127,8 +127,7 @@ class InvalidNecklaceError(ValidationError):
 
 def _check_count(x: int, what: str = "ground set size", cap: int | None = MAX_GROUND_SET) -> None:
     """Check x, a count: a positive int, not a bool, and at most cap unless that is None."""
-    # a plain int passes the class test as cheaply as isinstance; a bool does not
-    if x.__class__ is not int and (x.__class__ is bool or not isinstance(x, int)) or x < 1:
+    if x.__class__ is bool or not isinstance(x, int) or x < 1:
         raise ValidationError(f"{what} must be a positive integer, got {x!r}")
     if cap is not None and x > cap:
         raise ValidationError(f"{what} {x} exceeds the cap of {cap}")
@@ -193,12 +192,6 @@ class Subset(_Value):
         if mask.__class__ is bool or not isinstance(mask, int) or mask < 0 or mask >> n:
             raise ValidationError(f"mask {mask!r} does not fit in a {n}-element ground set")
         self.__dict__.update(n=n, mask=mask)
-
-    def __eq__(self, other):
-        return (self.n, self.mask) == (other.n, other.mask) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
@@ -339,9 +332,7 @@ class DecoratedPermutation(_Value):
         seen = set()
         fixed = []
         for pos, v in enumerate(images, start=1):
-            # a plain int passes the class test as cheaply as isinstance; a
-            # bool is an int that names no element
-            if v.__class__ is not int and (v.__class__ is bool or not isinstance(v, int)) or not 1 <= v <= n:
+            if v.__class__ is bool or not isinstance(v, int) or not 1 <= v <= n:
                 what = "a bool, not an element" if v.__class__ is bool else f"out of range 1..{n}"
                 raise ValidationError(f"image at position {pos} {v!r} is {what}")
             if v in seen:
@@ -367,13 +358,15 @@ class DecoratedPermutation(_Value):
             raise ValidationError(f"colors must list each fixed point of {list(fixed)} once, in increasing order")
         self.__dict__.update(images=images, colors=colors)
 
+    # the sweep compares a round trip and a convention result per instance:
+    # reading the two fields directly takes about a third of the time that
+    # `_Value.__eq__` takes to build and compare tuples of fields
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.images, self.colors) == (other.images, other.colors)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.images, self.colors))
+    __hash__ = _Value.__hash__
 
     @classmethod
     def of(cls, images: Iterable[int], colors: Mapping[int, int] | None = None) -> "DecoratedPermutation":
@@ -486,12 +479,6 @@ class GrassmannNecklace(_Value):
         if not entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
         self.__dict__["masks"] = validate_necklace(entries).masks
-
-    def __eq__(self, other):
-        return self.masks == other.masks if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.masks,))
 
     @cached_property
     def entries(self) -> tuple[Subset, ...]:

@@ -9,10 +9,11 @@ the text and JSON forms and the oracle read them, and the `Subset`s of `bases` a
 from collections.abc import Iterable, Iterator
 from functools import cached_property, reduce
 from itertools import combinations
+from math import comb
 from operator import and_, or_
 
 from .core import (
-    _TOKEN_BIT, GrassmannNecklace, Subset, ValidationError, _check_count, _check_iterable, _check_type, _format_mask,
+    GrassmannNecklace, Subset, ValidationError, _check_count, _check_iterable, _check_type, _format_mask,
     _gale_bounds, _members, _read_mask, _subset, _token_mask, _Value,
 )
 
@@ -29,12 +30,22 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
     elements in some entries but not all.
     """
     _check_type(necklace, GrassmannNecklace)
-    masks = necklace.masks
+    return _cut_out(necklace.masks)
+
+
+def _cut_out(masks: tuple[int, ...], within: frozenset[int] = frozenset()) -> "BasisFamily | None":
+    """`bases_of` of these entry masks, or None when a mask in within fails their bounds.
+
+    within is tested only when the walk would try more candidates than that test makes comparisons.
+    """
     n, k = len(masks), masks[0].bit_count()
     coloops = reduce(and_, masks)
     free = reduce(or_, masks) & ~coloops
     bounds = {pair for t, mask in enumerate(masks, start=1) for pair in _gale_bounds(mask, t, n)}
     tests = [(prefix, count) for prefix, count in bounds if prefix.bit_count() > count]
+    if comb(free.bit_count(), k - coloops.bit_count()) > len(tests) * len(within) and any(
+            (mask & prefix).bit_count() > count for mask in within for prefix, count in tests):
+        return None
     found = []
     for combo in combinations([1 << p for p in range(n) if free >> p & 1], k - coloops.bit_count()):
         mask = coloops + sum(combo)
@@ -142,9 +153,6 @@ def format_bases(family: BasisFamily) -> str:
 def _infer_n(s: str) -> int:
     """Ground set size named by a whitespace-free basis list: its largest element."""
     tokens = s.replace(";", ",").split(",")
-    distinct = set(tokens) - {""}
-    if distinct and distinct <= _TOKEN_BIT.keys():
-        return max(map(_TOKEN_BIT.__getitem__, distinct)).bit_length()
     elements = []
     for tok in filter(None, tokens):
         try:

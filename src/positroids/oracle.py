@@ -50,7 +50,7 @@ from .core import (
     necklace_of,
     perm_of,
 )
-from .families import BasisFamily, _family, bases_of
+from .families import BasisFamily, _cut_out, _family
 from .minors import (
     MinorKind,
     _degenerate,
@@ -114,11 +114,12 @@ def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
 
 
 def is_positroid(family: BasisFamily) -> bool:
-    """Whether the family is exactly cut out by its own Gale minima."""
+    """Whether the family is exactly cut out by its own Gale minima: False at once when a basis fails their bounds."""
     _check_type(family, BasisFamily)
     if family.is_empty:
         raise PreconditionError("the empty family is not classified")
-    return bases_of(oracle_necklace(family)).masks == family.masks
+    cut_out = _cut_out(oracle_necklace(family).masks, family.masks)
+    return cut_out is not None and cut_out.masks == family.masks
 
 
 def check_matroid(family: BasisFamily) -> bool:

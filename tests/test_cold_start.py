@@ -163,6 +163,24 @@ def test_reading_an_order_helper_loads_orders_alone(at_bare_start):
     assert loads - at_bare_start == {"positroids.orders"} - at_bare_start
 
 
+def test_reading_the_orders_module_through_the_package_loads_it_alone(at_bare_start):
+    loads = loaded_after("import positroids\nassert positroids.orders.__name__ == 'positroids.orders'")
+    assert loads - at_bare_start == {"positroids.orders"} - at_bare_start
+
+
+def test_a_submodule_the_package_has_not_bound_comes_through_the_hook(monkeypatch):
+    # here orders is loaded already; with its package binding gone, the read
+    # goes through the module __getattr__ and gives the loaded module back
+    monkeypatch.delattr(positroids, "orders", raising=False)
+    assert positroids.orders is sys.modules["positroids.orders"]
+
+
+def test_dir_lists_every_exported_name():
+    # the fresh process of test_the_surface_in_a_fresh_process checks this
+    # too, before any lazy name is bound; here most of them are
+    assert set(positroids.__all__) <= set(dir(positroids))
+
+
 def test_reading_a_family_name_loads_families_alone(at_bare_start):
     loads = loaded_after("import positroids\npositroids.BasisFamily")
     assert loads - at_bare_start == {"positroids.families"} - at_bare_start

@@ -520,6 +520,16 @@ class TestTextForms:
     def test_perm_whitespace_insensitive(self):
         assert parse_perm(" 2 , 1 ") == parse_perm("2,1")
 
+    @pytest.mark.parametrize("text, canonical", [
+        ("2,01", "2,1"), (" 2 , 01 ", "2,1"), ("٢,١", "2,1"), ("01+,2-", "1+,2-"), ("1+,002-", "1+,2-"),
+        ("１-,3,2", "1-,3,2"),
+    ])
+    def test_perm_accepts_what_int_reads(self, text, canonical):
+        # a token the canonical table lacks (a leading zero, other Unicode
+        # digits) is read by int(), and its value is the canonical text's
+        assert parse_perm(text) == parse_perm(canonical)
+        assert format_perm(parse_perm(text)) == canonical
+
     def test_perm_parse_errors_carry_positions(self):
         with pytest.raises(ValidationError, match="token 2"):
             parse_perm("3,2,1")

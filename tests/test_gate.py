@@ -197,6 +197,17 @@ def contract_keeping_a_coloop(real):
     return contract
 
 
+def contract_leaving_a_loop_in_place(real):
+    # contracting a loop kills every basis, so the convention wants the
+    # all-loop identity; this returns the permutation unchanged instead
+    def contract(p, j):
+        if p.image(j) == j and p.color(j) == 1:
+            return p.with_color(j, 1)
+        return real(p, j)
+
+    return contract
+
+
 def loop_1_read_as_a_coloop(real):
     # the loop 1 is misreported, whatever the permutation
     def loop_coloop_status(p, i):
@@ -335,6 +346,14 @@ GATE = [
         {"oracle": 64, "necklace-agreement": 64, "convention": 64, "structure": 64},
         "perm=1-,2-,3-,4- j=1 kind=contraction: oracle, necklace-agreement, convention, structure",
         id="contract-keeps-a-coloop",
+    ),
+    # contracting a loop is degenerate, and only the convention check runs;
+    # the row above contracts coloops, which are not degenerate
+    pytest.param(
+        "contract", contract_leaving_a_loop_in_place,
+        {"convention": 60},
+        "perm=1-,2-,3-,4+ j=4 kind=contraction: convention",
+        id="contract-leaves-a-loop-in-place",
     ),
     # the sweep reads a minor's loop verdict once per j, through this binding
     pytest.param(

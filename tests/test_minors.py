@@ -222,6 +222,14 @@ class TestRestrictRoute:
                     assert out == dual(contract(dual(p), j)).with_color(j, 1)
                     assert out == DecoratedPermutation(out.images, out.colors)  # valid as built
 
+    def test_a_walk_that_leaves_j_unfixed_is_reported(self, monkeypatch):
+        # restrict recolours j after the walk through the dual, so a walk that
+        # does not fix j raises rather than returning a wrong value
+        monkeypatch.setattr(positroids.minors, "contract", lambda p, j: p)
+        with pytest.raises(ValidationError) as err:
+            restrict(parse_perm(PERM), 3)
+        assert str(err.value) == "3 is not a fixed point"
+
     @pytest.mark.parametrize("kind", list(MinorKind))
     def test_degenerate_instances_give_the_all_loop_identity(self, kind):
         op = contract if kind is MinorKind.CONTRACTION else restrict

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import random
 import weakref
 from functools import reduce
 from itertools import combinations
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import positroids.cli
+import positroids.families
 import positroids.oracle
 from positroids import (
     BasisFamily,
@@ -597,6 +599,47 @@ def test_the_known_wrong_recognition_keeps_its_answers():
     family = parse_bases("1,3;1,6;1,7;1,8;2,8;3,8;6,8;7,8", 8)
     assert is_positroid(family) and reference_is_positroid(family)
     assert not check_matroid(family) and not pairwise_exchange(family)
+
+
+def spread_family_text():
+    # six random 32-subsets of 64 elements: their Gale minima spread over all
+    # 64, and the walk over their cut-out would try all C(64, 32) 32-subsets
+    rng = random.Random(29)
+    return ";".join(",".join(map(str, sorted(rng.sample(range(1, 65), 32)))) for _ in range(6))
+
+
+def test_a_basis_below_a_minimum_answers_without_a_walk(monkeypatch, capsys):
+    def combinations(*args):
+        raise AssertionError("is_positroid walked the cut-out")
+
+    monkeypatch.setattr(positroids.families, "combinations", combinations)
+    text = spread_family_text()
+    assert not is_positroid(parse_bases(text))
+    assert positroids.cli.run(["is-positroid", "--bases", text]) == 0
+    assert capsys.readouterr().out == "positroid: false\nmatroid-exchange: false\n"
+
+
+def test_the_bounds_test_agrees_with_the_walk_on_every_family(monkeypatch):
+    # every nonempty family of k-subsets for n <= 5: the answer is the same
+    # whether the bases meet the bounds test first (comb read as huge) or not
+    families = [
+        BasisFamily.of(n, family)
+        for n in range(1, 6)
+        for k in range(n + 1)
+        for size in range(1, math.comb(n, k) + 1)
+        for family in combinations(combinations(range(1, n + 1), k), size)
+    ]
+    walks = []
+    real_combinations = positroids.families.combinations
+    monkeypatch.setattr(positroids.families, "combinations", lambda *args: walks.append(1) or real_combinations(*args))
+    answers = {}
+    for candidates in (0, math.inf):
+        monkeypatch.setattr(positroids.families, "comb", lambda *args: candidates)
+        walks.clear()
+        answers[candidates] = [is_positroid(family) for family in families]
+    assert answers[0] == answers[math.inf]
+    assert 0 < len(walks) < len(families)  # the bounds test answered some, and not all
+    assert 0 < sum(answers[0]) < len(families)
 
 
 def uniform_bases(k, n):
