@@ -6,7 +6,9 @@ submodules themselves, resolve on first use through the module `__getattr__`
 (PEP 562), which imports the defining module then.  A one-shot call that needs
 only `core`, such as `positroids necklace`, so never compiles or runs the
 others: where Python writes no bytecode cache, every process pays that cost
-again for each module it imports.
+again for each module it imports.  Recognition (`is_positroid`,
+`check_matroid`, `oracle_necklace`) is defined in `families`, so reading it
+loads neither `minors` nor `oracle`.
 """
 
 import importlib
@@ -23,11 +25,13 @@ _LAZY = {
         "trace_to_obj",
     ), "minors"),
     **dict.fromkeys((
-        "BOTH_KINDS", "ENUMERATION_CAP", "VerificationReport", "check_matroid",
-        "enumerate_decorated_perms", "is_positroid", "oracle_contract", "oracle_delete",
-        "oracle_necklace", "verify_all",
+        "BOTH_KINDS", "ENUMERATION_CAP", "VerificationReport", "enumerate_decorated_perms", "oracle_contract",
+        "oracle_delete", "verify_all",
     ), "oracle"),
-    **dict.fromkeys(("BasisFamily", "bases_of", "bases_to_obj", "format_bases", "parse_bases"), "families"),
+    **dict.fromkeys((
+        "BasisFamily", "bases_of", "bases_to_obj", "check_matroid", "format_bases", "is_positroid", "oracle_necklace",
+        "parse_bases",
+    ), "families"),
     **dict.fromkeys((
         "cyclic_lt", "gale_extremum", "gale_leq", "in_cyclic_interval", "necklace_step", "pred", "succ",
     ), "orders"),

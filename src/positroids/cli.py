@@ -1,12 +1,12 @@
 """Command line front end for the positroid minor operations.
 
 Only `core` loads with this module.  A call is one short process, and where Python writes no bytecode cache each
-module it imports is compiled again, so each handler imports what it needs beyond `core` when it runs: `bases` loads
-`families`, `contract` and `restrict` `minors`, `is-positroid` and `verify` `oracle` (which loads both), and
-`--format json` loads `json`.  For the same reason argv is read in one pass against a table of commands, by the
-standard library parser's rules and messages but without it: importing it (with `gettext` and `locale`) and building
-its seven subparsers made a cold `necklace` call about 4 ms slower, 87 ms against 83 ms (medians of 60 alternating
-runs, 2-core x86, Python 3.11, no bytecode cache).
+module it imports is compiled again, so each handler imports what it needs beyond `core` when it runs: `bases` and
+`is-positroid` load `families` (which holds recognition), `contract` and `restrict` `minors`, `verify` `oracle` (which
+loads both), and `--format json` loads `json`.  For the same reason argv is read in one pass against a table of
+commands, by the standard library parser's rules and messages but without it: importing it (with `gettext` and
+`locale`) and building its seven subparsers made a cold `necklace` call about 4 ms slower, 87 ms against 83 ms
+(medians of 60 alternating runs, 2-core x86, Python 3.11, no bytecode cache).
 """
 
 import sys
@@ -80,8 +80,7 @@ def _cmd_minor(args, kind: str) -> int:
 
 
 def _cmd_is_positroid(args) -> int:
-    from .families import parse_bases
-    from .oracle import check_matroid, is_positroid
+    from .families import check_matroid, is_positroid, parse_bases
 
     family = parse_bases(_read_arg(args["bases"]), args["n"])
     positroid = is_positroid(family)

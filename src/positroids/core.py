@@ -29,7 +29,7 @@ built from values already checked are made with the private `_subset`,
 hot loops and the checks themselves read masks and image tuples directly.  The
 walks `minors.contract` and `restrict` build their results unchecked too, and
 the sweep guards that each is a permutation, so that a faulty walk is reported
-rather than trusted.  One exception: `oracle.oracle_necklace` returns the Gale
+rather than trusted.  One exception: `families.oracle_necklace` returns the Gale
 minima of any family unchecked, and for a family that is not a matroid they
 need not form a Grassmann necklace.
 
@@ -463,7 +463,7 @@ class GrassmannNecklace(_Value):
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
     element, otherwise I_{i+1} = I_i.  Indices are cyclic, so entry(n+1) is
     entry(1).  The constructor takes the entries as Subsets and checks them
-    with validate_necklace; `oracle.oracle_necklace` builds its value without
+    with validate_necklace; `families.oracle_necklace` builds its value without
     the check and, for a family that is not a matroid, can return one that
     breaks the step rule.
 

@@ -1,20 +1,25 @@
-"""Basis families: `bases_of` from a necklace's Gale bounds, the value type, and their text and JSON forms.
+"""Basis families: `bases_of` from a necklace's Gale bounds, the value type, their text and JSON forms, and recognition.
 
 Only the `bases`, `is-positroid` and `verify` commands and `oracle` read a family, so `positroids` loads this module
 on the first read of one of its names, and a one-shot `necklace`, `perm`, `contract` or `restrict` never compiles it.
 A family holds its bases' `masks`, a frozenset of ints, which `_family` takes unchecked: `bases_of`, `parse_bases`,
 the text and JSON forms and the oracle read them, and the `Subset`s of `bases` are built only when a caller reads it.
+
+Recognition asks about a family alone.  By Oh's theorem a positroid is cut out by its Gale minima, so `is_positroid`
+needs `oracle_necklace` and `_cut_out` and no minor or sweep, and it lives here with `check_matroid`: an
+`is-positroid` call loads this module and neither `minors` nor `oracle`, which imports the three.  `check_matroid`
+tests basis exchange on one witness plane per element, with no 2^n-bit vector, at every n up to 64.
 """
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .core import (
-    GrassmannNecklace, Subset, ValidationError, _check_count, _check_iterable, _check_type, _format_mask,
-    _gale_bounds, _members, _read_mask, _subset, _token_mask, _Value,
+    GrassmannNecklace, PreconditionError, Subset, ValidationError, _check_count, _check_iterable, _check_type,
+    _format_mask, _gale_bounds, _members, _necklace, _read_mask, _subset, _token_mask, _Value,
 )
 
 
@@ -34,9 +39,10 @@ def bases_of(necklace: GrassmannNecklace) -> "BasisFamily":
 
 
 def _cut_out(masks: tuple[int, ...], within: frozenset[int] = frozenset()) -> "BasisFamily | None":
-    """`bases_of` of these entry masks, or None when a mask in within fails their bounds.
+    """`bases_of` of these entry masks, or None when they cannot cut out exactly within.
 
-    within is tested only when the walk would try more candidates than that test makes comparisons.
+    That is when a mask in within fails their bounds, tested only when the walk would try more candidates than that
+    test makes comparisons, or when the walk finds more sets than within holds, where it stops.
     """
     n, k = len(masks), masks[0].bit_count()
     coloops = reduce(and_, masks)
@@ -54,6 +60,8 @@ def _cut_out(masks: tuple[int, ...], within: frozenset[int] = frozenset()) -> "B
                 break
         else:
             found.append(mask)
+            if within and len(found) > len(within):
+                return None
     return _family(n, k, frozenset(found))
 
 
@@ -193,3 +201,69 @@ def bases_to_obj(family: BasisFamily) -> dict:
         "k": family.k,
         "bases": [list(_members(mask)) for mask in family._sorted_masks()],
     }
+
+
+def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
+    """Entrywise Gale minimum of the family, one entry per starting point.
+
+    The minima of a matroid's bases form its Grassmann necklace; for a family
+    that is not a matroid they need not, and come back unchecked all the same.
+    Each basis is its bit string, element 1 first, written twice, so that the
+    slice [t, t + n) reads it from t + 1.  Read from there, the least basis
+    holds the first element where two differ, so its reading is the greatest.
+    """
+    _check_type(family, BasisFamily)
+    if family.is_empty:
+        raise PreconditionError("the empty family has no necklace")
+    n, width = family.n, f"0{family.n}b"
+    twice = [format(mask, width)[::-1] * 2 for mask in family.masks]
+    best = [max(map(itemgetter(slice(t, t + n)), twice)) for t in range(n)]
+    # the best reading from t + 1, rotated back and reversed, is the mask
+    return _necklace(tuple([int((row[n - t:] + row[:n - t])[::-1], 2) for t, row in enumerate(best)]))
+
+
+def is_positroid(family: BasisFamily) -> bool:
+    """Whether the family is exactly cut out by its own Gale minima: False at once when a basis fails their bounds."""
+    _check_type(family, BasisFamily)
+    if family.is_empty:
+        raise PreconditionError("the empty family is not classified")
+    cut_out = _cut_out(oracle_necklace(family).masks, family.masks)
+    return cut_out is not None and cut_out.masks == family.masks
+
+
+def check_matroid(family: BasisFamily) -> bool:
+    """Basis exchange: for bases A, B and x in A-B some y in B-A fixes A-x+y.
+
+    Tested once per S = A - x, a basis less one element, whichever A and x
+    give it: with Y the elements y outside S for which S + y is a basis, no
+    basis may avoid all of Y.  A basis B avoiding x meets Y exactly in the y
+    of B - A that fix A-x, and one holding x meets Y in x itself, so this is
+    the pairwise statement.  The witness plane of an element has one bit per
+    basis that avoids it, so the bases avoiding all of Y are one AND per y:
+    |F| * k ANDs in all, and no scan of pairs of bases.
+    """
+    _check_type(family, BasisFamily)
+    if family.is_empty:
+        raise PreconditionError("the empty family is not classified")
+    n = family.n
+    full, width = (1 << n) - 1, f"0{n}b"
+    # avoid[e]: the bases avoiding element e + 1, the columns of their complements' bit strings
+    avoid = [int("".join(column), 2) for column in zip(*[format(full ^ a, width) for a in family.masks])][::-1]
+    # fixers[S]: the elements y outside S with S + y a basis, as a mask
+    fixers = {}
+    get = fixers.get
+    for a in family.masks:
+        rest = a
+        while rest:
+            low = rest & -rest
+            fixers[a ^ low] = get(a ^ low, 0) | low
+            rest ^= low
+    for ys in fixers.values():
+        witnesses = -1
+        while ys and witnesses:
+            low = ys & -ys
+            witnesses &= avoid[low.bit_length() - 1]
+            ys ^= low
+        if witnesses:
+            return False
+    return True

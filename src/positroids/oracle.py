@@ -24,33 +24,32 @@ that family out, which is the closure verdict for either kind.
 emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep returns, so
 each worker of a parallel sweep has its own.
 
-`check_matroid` tests basis exchange on one witness plane per element
-instead, with no 2^n-bit vector, at every n up to 64.
+Recognition (`oracle_necklace`, `is_positroid`, `check_matroid`) needs no
+minor or sweep, so `families` defines it; `oracle.is_positroid` and the other
+two are the same objects, imported from there.
 """
 
 import os
 import time
 from functools import partial, reduce
 from itertools import permutations, product
-from operator import and_, itemgetter
+from operator import and_
 
 from .core import (
     DecoratedPermutation,
-    GrassmannNecklace,
-    PreconditionError,
     ValidationError,
     _Value,
     _check_count,
     _check_element,
     _check_type,
-    _necklace,
     _perm,
     format_perm,
     loop_coloop_status,
     necklace_of,
     perm_of,
 )
-from .families import BasisFamily, _cut_out, _family
+# the recognition names are not used here; they are imported so that `oracle` still names them
+from .families import BasisFamily, _family, check_matroid, is_positroid, oracle_necklace
 from .minors import (
     MinorKind,
     _degenerate,
@@ -92,72 +91,6 @@ def oracle_delete(family: BasisFamily, j: int) -> BasisFamily:
     _check_element(j, family.n)
     bit = 1 << (j - 1)
     return _family(family.n, family.k, frozenset([mask for mask in family.masks if not mask & bit]))
-
-
-def oracle_necklace(family: BasisFamily) -> GrassmannNecklace:
-    """Entrywise Gale minimum of the family, one entry per starting point.
-
-    The minima of a matroid's bases form its Grassmann necklace; for a family
-    that is not a matroid they need not, and come back unchecked all the same.
-    Each basis is its bit string, element 1 first, written twice, so that the
-    slice [t, t + n) reads it from t + 1.  Read from there, the least basis
-    holds the first element where two differ, so its reading is the greatest.
-    """
-    _check_type(family, BasisFamily)
-    if family.is_empty:
-        raise PreconditionError("the empty family has no necklace")
-    n, width = family.n, f"0{family.n}b"
-    twice = [format(mask, width)[::-1] * 2 for mask in family.masks]
-    best = [max(map(itemgetter(slice(t, t + n)), twice)) for t in range(n)]
-    # the best reading from t + 1, rotated back and reversed, is the mask
-    return _necklace(tuple([int((row[n - t:] + row[:n - t])[::-1], 2) for t, row in enumerate(best)]))
-
-
-def is_positroid(family: BasisFamily) -> bool:
-    """Whether the family is exactly cut out by its own Gale minima: False at once when a basis fails their bounds."""
-    _check_type(family, BasisFamily)
-    if family.is_empty:
-        raise PreconditionError("the empty family is not classified")
-    cut_out = _cut_out(oracle_necklace(family).masks, family.masks)
-    return cut_out is not None and cut_out.masks == family.masks
-
-
-def check_matroid(family: BasisFamily) -> bool:
-    """Basis exchange: for bases A, B and x in A-B some y in B-A fixes A-x+y.
-
-    Tested once per S = A - x, a basis less one element, whichever A and x
-    give it: with Y the elements y outside S for which S + y is a basis, no
-    basis may avoid all of Y.  A basis B avoiding x meets Y exactly in the y
-    of B - A that fix A-x, and one holding x meets Y in x itself, so this is
-    the pairwise statement.  The witness plane of an element has one bit per
-    basis that avoids it, so the bases avoiding all of Y are one AND per y:
-    |F| * k ANDs in all, and no scan of pairs of bases.
-    """
-    _check_type(family, BasisFamily)
-    if family.is_empty:
-        raise PreconditionError("the empty family is not classified")
-    n = family.n
-    full, width = (1 << n) - 1, f"0{n}b"
-    # avoid[e]: the bases avoiding element e + 1, the columns of their complements' bit strings
-    avoid = [int("".join(column), 2) for column in zip(*[format(full ^ a, width) for a in family.masks])][::-1]
-    # fixers[S]: the elements y outside S with S + y a basis, as a mask
-    fixers = {}
-    get = fixers.get
-    for a in family.masks:
-        rest = a
-        while rest:
-            low = rest & -rest
-            fixers[a ^ low] = get(a ^ low, 0) | low
-            rest ^= low
-    for ys in fixers.values():
-        witnesses = -1
-        while ys and witnesses:
-            low = ys & -ys
-            witnesses &= avoid[low.bit_length() - 1]
-            ys ^= low
-        if witnesses:
-            return False
-    return True
 
 
 def _check_enumerable(n):

@@ -18,6 +18,7 @@ import pytest
 
 import positroids
 import positroids.core
+import positroids.families
 import positroids.minors
 import positroids.oracle
 from positroids.cli import run
@@ -147,7 +148,7 @@ def at_bare_start():
         (["restrict", "--perm", GOLDEN_PERM, "-j", "5", "--trace"], {"positroids.minors"}),
         (["contract", "--format", "json", "--perm", GOLDEN_PERM, "-j", "3"], {"positroids.minors", "json"}),
         (["necklace", "--format", "json", "--perm", GOLDEN_PERM], {"json"}),
-        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], ORACLE_MODULES),
+        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], {"positroids.families"}),
         (["verify", "--max-n", "3"], ORACLE_MODULES),
     ],
     ids=["import positroids", "necklace", "perm", "bases", "restrict --trace", "contract json", "necklace json",
@@ -184,3 +185,17 @@ def test_dir_lists_every_exported_name():
 def test_reading_a_family_name_loads_families_alone(at_bare_start):
     loads = loaded_after("import positroids\npositroids.BasisFamily")
     assert loads - at_bare_start == {"positroids.families"} - at_bare_start
+
+
+RECOGNITION = ("is_positroid", "check_matroid", "oracle_necklace")
+
+
+@pytest.mark.parametrize("name", RECOGNITION)
+def test_reading_a_recognition_name_loads_families_alone(at_bare_start, name):
+    loads = loaded_after(f"import positroids\npositroids.{name}")
+    assert loads - at_bare_start == {"positroids.families"} - at_bare_start
+
+
+@pytest.mark.parametrize("name", RECOGNITION)
+def test_oracle_names_the_recognition_that_families_defines(name):
+    assert getattr(positroids.oracle, name) is getattr(positroids.families, name)

@@ -619,9 +619,27 @@ def test_a_basis_below_a_minimum_answers_without_a_walk(monkeypatch, capsys):
     assert capsys.readouterr().out == "positroid: false\nmatroid-exchange: false\n"
 
 
+def counted_walks(monkeypatch, budget=math.inf):
+    """Wrap `families.combinations`; each walk appends [candidates in all, candidates drawn] to the list returned."""
+    walks = []
+    real_combinations = positroids.families.combinations
+
+    def combinations(pool, r):
+        walks.append([math.comb(len(pool), r), 0])
+        for combo in real_combinations(pool, r):
+            walks[-1][1] += 1
+            if walks[-1][1] > budget:
+                raise AssertionError(f"the walk drew more than {budget} candidates")
+            yield combo
+
+    monkeypatch.setattr(positroids.families, "combinations", combinations)
+    return walks
+
+
 def test_the_bounds_test_agrees_with_the_walk_on_every_family(monkeypatch):
     # every nonempty family of k-subsets for n <= 5: the answer is the same
-    # whether the bases meet the bounds test first (comb read as huge) or not
+    # whether the bases meet the bounds test first (comb read as huge) or not,
+    # and whether or not the walk stops once it finds more sets than the family
     families = [
         BasisFamily.of(n, family)
         for n in range(1, 6)
@@ -629,17 +647,33 @@ def test_the_bounds_test_agrees_with_the_walk_on_every_family(monkeypatch):
         for size in range(1, math.comb(n, k) + 1)
         for family in combinations(combinations(range(1, n + 1), k), size)
     ]
-    walks = []
-    real_combinations = positroids.families.combinations
-    monkeypatch.setattr(positroids.families, "combinations", lambda *args: walks.append(1) or real_combinations(*args))
-    answers = {}
+    reference = [reference_is_positroid(family) for family in families]  # bases_of walks with no family to stop at
+    walks = counted_walks(monkeypatch)
+    answers, walked = {}, {}
     for candidates in (0, math.inf):
         monkeypatch.setattr(positroids.families, "comb", lambda *args: candidates)
         walks.clear()
         answers[candidates] = [is_positroid(family) for family in families]
-    assert answers[0] == answers[math.inf]
-    assert 0 < len(walks) < len(families)  # the bounds test answered some, and not all
+        walked[candidates] = list(walks)
+    assert answers[0] == answers[math.inf] == reference
+    assert 0 < len(walked[math.inf]) < len(families)  # the bounds test answered some, and not all
+    assert 0 < sum(drawn < total for total, drawn in walked[0]) < len(families)  # the walk stopped early on some, and not all
     assert 0 < sum(answers[0]) < len(families)
+
+
+def test_a_cut_out_larger_than_the_family_stops_the_walk(monkeypatch, capsys):
+    # the 40 cyclic intervals of 20 elements: each is the Gale minimum from its
+    # start, so every basis passes the bounds, which cut out far more sets; the
+    # walk over all C(40, 20) candidates would not return, and it stops at the
+    # 41st found, one more than the family holds, after 41 candidates
+    walks = counted_walks(monkeypatch, budget=1000)
+    text = ";".join(",".join(str((start + i) % 40 + 1) for i in range(20)) for start in range(40))
+    family = parse_bases(text)
+    assert (len(family), family.k) == (40, 20)
+    assert not is_positroid(family) and not check_matroid(family)
+    assert positroids.cli.run(["is-positroid", "--bases", text]) == 0
+    assert capsys.readouterr().out == "positroid: false\nmatroid-exchange: false\n"
+    assert walks == [[math.comb(40, 20), 41]] * 2
 
 
 def uniform_bases(k, n):
