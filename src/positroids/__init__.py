@@ -1,14 +1,15 @@
 """Positroids: decorated permutations, Grassmann necklaces, and their minors.
 
 `import positroids` loads `core` alone and takes the names in its `__all__`.
-The names that `families`, `minors`, `oracle` and `orders` define, and those
-submodules themselves, resolve on first use through the module `__getattr__`
-(PEP 562), which imports the defining module then.  A one-shot call that needs
+The names that `subsets`, `families`, `minors`, `oracle` and `orders` define,
+and those submodules themselves, resolve on first use through the module
+`__getattr__` (PEP 562), which imports the defining module then.  A one-shot call that needs
 only `core`, such as `positroids necklace`, so never compiles or runs the
 others: where Python writes no bytecode cache, every process pays that cost
 again for each module it imports.  Recognition (`is_positroid`,
 `check_matroid`, `oracle_necklace`) is defined in `families`, so reading it
-loads neither `minors` nor `oracle`.
+loads neither `minors` nor `oracle`.  `Subset`, which no command builds, is
+defined in `subsets`, so reading it loads that module alone.
 """
 
 import importlib
@@ -32,6 +33,9 @@ _LAZY = {
         "BasisFamily", "bases_of", "bases_to_obj", "check_matroid", "format_bases", "is_positroid", "oracle_necklace",
         "parse_bases",
     ), "families"),
+    **dict.fromkeys((
+        "Subset", "format_subset", "necklace_violations", "parse_subset", "validate_necklace",
+    ), "subsets"),
     **dict.fromkeys((
         "cyclic_lt", "gale_extremum", "gale_leq", "in_cyclic_interval", "necklace_step", "pred", "succ",
     ), "orders"),

@@ -22,11 +22,14 @@ def _read_arg(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
-def _emit(args, obj, text: str | None) -> int:
-    """Print obj as JSON under --format json, otherwise text unless it is None; the exit status is 0."""
+def _emit(args, to_obj, text: str | None) -> int:
+    """Print to_obj() as JSON under --format json, otherwise text unless it is None; the exit status is 0.
+
+    The object is built only under --format json: a text call would throw it away.
+    """
     if args["format"] == "json":
         import json
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(to_obj(), indent=2))
     elif text is not None:
         print(text)
     return 0
@@ -34,12 +37,12 @@ def _emit(args, obj, text: str | None) -> int:
 
 def _cmd_necklace(args) -> int:
     necklace = necklace_of(parse_perm(_read_arg(args["perm"])))
-    return _emit(args, necklace_to_obj(necklace), format_necklace(necklace))
+    return _emit(args, lambda: necklace_to_obj(necklace), format_necklace(necklace))
 
 
 def _cmd_perm(args) -> int:
     p = perm_of(parse_necklace(_read_arg(args["necklace"])))
-    return _emit(args, perm_to_obj(p), format_perm(p))
+    return _emit(args, lambda: perm_to_obj(p), format_perm(p))
 
 
 def _cmd_bases(args) -> int:
@@ -50,7 +53,7 @@ def _cmd_bases(args) -> int:
     else:
         necklace = parse_necklace(_read_arg(args["necklace"]))
     family = bases_of(necklace)
-    return _emit(args, bases_to_obj(family), format_bases(family))
+    return _emit(args, lambda: bases_to_obj(family), format_bases(family))
 
 
 def _cmd_minor(args, kind: str) -> int:
@@ -72,11 +75,15 @@ def _cmd_minor(args, kind: str) -> int:
                 traces.append(trace_minor(p, j, kind))
         steps.append({"j": j, "degenerate": outcome.degenerate})
         p = outcome.perm
-    obj = {"result": perm_to_obj(p), "steps": steps}
-    if args["trace"]:
-        obj["traces"] = [trace_to_obj(t) for t in traces]
+
+    def to_obj():
+        obj = {"result": perm_to_obj(p), "steps": steps}
+        if args["trace"]:
+            obj["traces"] = [trace_to_obj(t) for t in traces]
+        return obj
+
     # each trace is followed by a blank line, then the permutation
-    return _emit(args, obj, "\n\n".join([*map(render_trace, traces), format_perm(p)]))
+    return _emit(args, to_obj, "\n\n".join([*map(render_trace, traces), format_perm(p)]))
 
 
 def _cmd_is_positroid(args) -> int:
@@ -85,9 +92,8 @@ def _cmd_is_positroid(args) -> int:
     family = parse_bases(_read_arg(args["bases"]), args["n"])
     positroid = is_positroid(family)
     matroid = check_matroid(family)
-    obj = {"n": family.n, "k": family.k, "positroid": positroid, "matroid_exchange": matroid}
     text = f"positroid: {str(positroid).lower()}\nmatroid-exchange: {str(matroid).lower()}"
-    return _emit(args, obj, text)
+    return _emit(args, lambda: dict(n=family.n, k=family.k, positroid=positroid, matroid_exchange=matroid), text)
 
 
 def _cmd_verify(args) -> int:
@@ -106,7 +112,7 @@ def _cmd_verify(args) -> int:
             if report.first_failure:
                 print(f"  first failure: {report.first_failure}")
     # the text lines went out as each n finished
-    _emit(args, [r.to_obj() for r in reports], None)
+    _emit(args, lambda: [r.to_obj() for r in reports], None)
     return 2 if any(r.mismatches for r in reports) else 0
 
 

@@ -8,10 +8,11 @@ A positroid can be recorded in three interchangeable forms:
   a step rule (I_{i+1} is I_i with i swapped out, or I_i unchanged),
 * the explicit family of its bases.
 
-This module holds the value types and the bijection between decorated
-permutations and necklaces; `families` holds the basis families, enumerated
-from a necklace's Gale bounds, and `orders` the cyclic and Gale orders as
-checked public functions.  `__all__` lists what `positroids` takes from here.
+This module holds the permutation and necklace value types and the bijection
+between them; `subsets` holds the `Subset` value type and its text form,
+`families` the basis families, enumerated from a necklace's Gale bounds, and
+`orders` the cyclic and Gale orders as checked public functions.  `__all__`
+lists what `positroids` takes from here.
 Every function is pure and every value is immutable: a value type derives
 from `_Value`, its constructor stores the fields in `__dict__`, and assigning
 or deleting one raises `AttributeError`.  `repr`, `==` and `hash` read the
@@ -24,9 +25,10 @@ Validation happens once, at the boundary: the public constructors and their
 builders, the parsers and the public functions check what they are given, each
 input rule through its one checker (`_check_count`, `_check_element`,
 `_check_color`, and `_check_type` for an argument of another type).  Values
-built from values already checked are made with the private `_subset`,
-`_perm`, `_necklace` and `families._family`, which skip the checks, and the
-hot loops and the checks themselves read masks and image tuples directly.  The
+built from values already checked are made with the private `_perm`,
+`_necklace`, `subsets._subset` and `families._family`, which skip the checks,
+and the hot loops and the checks themselves read masks and image tuples
+directly.  The
 walks `minors.contract` and `restrict` build their results unchecked too, and
 the sweep guards that each is a permutation, so that a faulty walk is reported
 rather than trusted.  One exception: `families.oracle_necklace` returns the Gale
@@ -36,9 +38,13 @@ need not form a Grassmann necklace.
 A necklace holds the masks of its entries, one int each, and `_necklace`
 takes those masks.  Its `Subset` entries are built only when a caller reads
 `entries` or `entry(r)`, so the conversions, the swap formulas, the text and
-JSON forms, the traces and the sweep never build one; the step rule is checked
-on masks by `_mask_violations`, which `necklace_violations` and
-`parse_necklace` share.  A basis family likewise holds its bases' masks.
+JSON forms, the traces and the sweep never build one.  No command loads
+`subsets` either: this module, `families` and `minors` import it inside the
+calls that build or check a `Subset` (the necklace constructor and `entries`
+here, and subset text that leaves the table path), and `positroids` on the
+first read of one of its names.  The step rule is checked on masks by
+`_mask_violations`, which `subsets.necklace_violations` and `parse_necklace`
+share.  A basis family likewise holds its bases' masks.
 
 Subsets and permutations cross the text boundary by constant tables built
 at import.  Out, a mask's members are read a hexadecimal digit at a time
@@ -60,9 +66,8 @@ from operator import getitem
 
 __all__ = [
     "MAX_GROUND_SET", "DecoratedPermutation", "GrassmannNecklace", "InvalidNecklaceError", "NecklaceViolation",
-    "PositroidError", "PreconditionError", "Subset", "ValidationError", "dual", "format_necklace", "format_perm",
-    "format_subset", "loop_coloop_status", "necklace_of", "necklace_to_obj", "necklace_violations", "parse_necklace",
-    "parse_perm", "parse_subset", "perm_of", "perm_to_obj", "validate_necklace",
+    "PositroidError", "PreconditionError", "ValidationError", "dual", "format_necklace", "format_perm",
+    "loop_coloop_status", "necklace_of", "necklace_to_obj", "parse_necklace", "parse_perm", "perm_of", "perm_to_obj",
 ]
 
 MAX_GROUND_SET = 64
@@ -182,94 +187,9 @@ class _Value:
         return hash(self._fields())
 
 
-class Subset(_Value):
-    """Subset of {1, ..., n}, stored as a bitmask (bit i-1 holds element i)."""
-
-    __match_args__ = ("n", "mask")
-
-    def __init__(self, n: int, mask: int) -> None:
-        _check_count(n)
-        if mask.__class__ is bool or not isinstance(mask, int) or mask < 0 or mask >> n:
-            raise ValidationError(f"mask {mask!r} does not fit in a {n}-element ground set")
-        self.__dict__.update(n=n, mask=mask)
-
-    @classmethod
-    def of(cls, n: int, elements: Iterable[int]) -> "Subset":
-        _check_count(n)
-        _check_iterable(elements, "elements")
-        mask = 0
-        for e in elements:
-            mask |= 1 << (_check_element(e, n) - 1)
-        return _subset(n, mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        _check_count(n)
-        return cls(n, (1 << n) - 1)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(_members(self.mask))
-
-    def __contains__(self, e: int) -> bool:
-        return isinstance(e, int) and 1 <= e <= self.n and bool(self.mask >> (e - 1) & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def add(self, e: int) -> "Subset":
-        return _subset(self.n, self.mask | 1 << (_check_element(e, self.n) - 1))
-
-    def discard(self, e: int) -> "Subset":
-        return _subset(self.n, self.mask & ~(1 << (_check_element(e, self.n) - 1)))
-
-    def _same_ground(self, other: "Subset") -> None:
-        _check_type(other, Subset)
-        if other.n != self.n:
-            raise ValidationError(f"mixed ground sets: n={self.n} vs n={other.n}")
-
-    def __or__(self, other: "Subset") -> "Subset":
-        self._same_ground(other)
-        return _subset(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        self._same_ground(other)
-        return _subset(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "Subset") -> "Subset":
-        self._same_ground(other)
-        return _subset(self.n, self.mask & ~other.mask)
-
-    def issubset(self, other: "Subset") -> bool:
-        self._same_ground(other)
-        return self.mask & ~other.mask == 0
-
-    def __repr__(self) -> str:
-        return f"Subset.of({self.n}, {list(self.members)})"
-
-    def __str__(self) -> str:
-        return "{" + format_subset(self) + "}"
-
-
 def _members(mask: int) -> Iterator[int]:
     """The members of a mask, increasing: its hex digits, lowest first, pick one table row each."""
     return chain.from_iterable(map(getitem, _CHUNK_MEMBERS, f"{mask:x}"[::-1]))
-
-
-def _subset(n: int, mask: int) -> Subset:
-    """Subset(n, mask) without the checks, for a mask known to fit in n."""
-    s = object.__new__(Subset)
-    fields = s.__dict__
-    fields["n"] = n
-    fields["mask"] = mask
-    return s
 
 
 def _gale_bounds(mask: int, t: int, n: int) -> list[tuple[int, int]]:
@@ -463,7 +383,7 @@ class GrassmannNecklace(_Value):
     The step rule: if i is in I_i then I_{i+1} = (I_i minus i) plus one
     element, otherwise I_{i+1} = I_i.  Indices are cyclic, so entry(n+1) is
     entry(1).  The constructor takes the entries as Subsets and checks them
-    with validate_necklace; `families.oracle_necklace` builds its value without
+    with `subsets.validate_necklace`; `families.oracle_necklace` builds its value without
     the check and, for a family that is not a matroid, can return one that
     breaks the step rule.
 
@@ -474,14 +394,18 @@ class GrassmannNecklace(_Value):
 
     __match_args__ = ("masks",)
 
-    def __init__(self, entries: Sequence[Subset]):
+    def __init__(self, entries: Sequence["Subset"]):
+        from .subsets import validate_necklace
+
         _check_iterable(entries, "entries", Sequence)
         if not entries:
             raise ValidationError("a Grassmann necklace needs at least one entry")
         self.__dict__["masks"] = validate_necklace(entries).masks
 
     @cached_property
-    def entries(self) -> tuple[Subset, ...]:
+    def entries(self) -> tuple["Subset", ...]:
+        from .subsets import _subset
+
         n = len(self.masks)
         return tuple([_subset(n, mask) for mask in self.masks])
 
@@ -493,7 +417,7 @@ class GrassmannNecklace(_Value):
     def k(self) -> int:
         return self.masks[0].bit_count()
 
-    def entry(self, r: int) -> Subset:
+    def entry(self, r: int) -> "Subset":
         """Entry I_r, with r read cyclically (any integer works)."""
         if not isinstance(r, int):
             raise ValidationError(f"entry index {r!r} is not an integer")
@@ -520,24 +444,6 @@ class NecklaceViolation(_Value):
         return f"entry {self.index}: [{self.clause}] {self.detail}"
 
 
-def necklace_violations(entries: Sequence[Subset]) -> list[NecklaceViolation]:
-    """All step-rule and shape violations of a candidate necklace."""
-    _check_iterable(entries, "entries", Sequence)
-    if len(entries) == 0:
-        return [NecklaceViolation(0, "shape", "no entries")]
-    for idx, e in enumerate(entries, start=1):
-        if not isinstance(e, Subset):
-            raise ValidationError(f"entry {idx} is not a Subset")
-    n = entries[0].n
-    out = [NecklaceViolation(idx, "shape", f"ground set n={e.n} differs from n={n}")
-           for idx, e in enumerate(entries, start=1) if e.n != n]
-    if out:
-        return out
-    if len(entries) != n:
-        return [NecklaceViolation(0, "shape", f"{len(entries)} entries for ground set of size {n}")]
-    return _mask_violations([e.mask for e in entries])
-
-
 def _mask_violations(masks: Sequence[int]) -> list[NecklaceViolation]:
     """The size and step violations of n entry masks on a ground set of size n."""
     out = []
@@ -561,14 +467,6 @@ def _mask_violations(masks: Sequence[int]) -> list[NecklaceViolation]:
                 out.append(NecklaceViolation(i, "step", f"I_{i % n + 1} must add exactly one element to I_{i} minus {i}"))
         bit <<= 1
     return out
-
-
-def validate_necklace(entries: Sequence[Subset]) -> GrassmannNecklace:
-    """Check the step rule and wrap the entries, or raise with all violations."""
-    bad = necklace_violations(entries)
-    if bad:
-        raise InvalidNecklaceError(bad)
-    return _necklace(tuple([e.mask for e in entries]))
 
 
 def necklace_of(p: DecoratedPermutation) -> GrassmannNecklace:
@@ -709,11 +607,6 @@ def parse_perm(text: str) -> DecoratedPermutation:
     return _perm(tuple(images), tuple(colors.items()))
 
 
-def format_subset(s: Subset) -> str:
-    _check_type(s, Subset)
-    return _format_mask(s.mask)
-
-
 def _format_mask(mask: int) -> str:
     # the mask's 8 bytes, lowest first, pick one table row each
     return "".join(map(getitem, _BYTE_TEXT, mask.to_bytes(8, "little")))[:-1]
@@ -736,11 +629,6 @@ def _token_mask(s: str) -> int:
     return mask if mask.bit_count() == len(tokens) else -1
 
 
-def parse_subset(text: str, n: int) -> Subset:
-    _check_type(text, str)
-    return _subset(n, _read_mask(text, "".join(text.split()), n))
-
-
 def _read_mask(text: str, s: str, n: int) -> int:
     """Mask of the subset of {1, ..., n} named by s, which is text without its whitespace."""
     mask = _token_mask(s)
@@ -752,6 +640,8 @@ def _read_mask(text: str, s: str, n: int) -> int:
         elements = [int(tok) for tok in s.split(",")]
     except ValueError:
         raise ValidationError(f"subset {text!r} has a non-integer entry") from None
+    from .subsets import Subset
+
     return Subset.of(n, elements).mask
 
 

@@ -18,8 +18,8 @@ from math import comb
 from operator import and_, itemgetter, or_
 
 from .core import (
-    GrassmannNecklace, PreconditionError, Subset, ValidationError, _check_count, _check_iterable, _check_type,
-    _format_mask, _gale_bounds, _members, _necklace, _read_mask, _subset, _token_mask, _Value,
+    GrassmannNecklace, PreconditionError, ValidationError, _check_count, _check_iterable, _check_type, _format_mask,
+    _gale_bounds, _members, _necklace, _read_mask, _token_mask, _Value,
 )
 
 
@@ -77,7 +77,7 @@ class BasisFamily(_Value):
 
     __match_args__ = ("n", "k", "masks")
 
-    def __init__(self, n: int, k: int, bases: frozenset[Subset]) -> None:
+    def __init__(self, n: int, k: int, bases: frozenset["Subset"]) -> None:
         _check_count(n)
         if k.__class__ is bool or not isinstance(k, int) or not 0 <= k <= n:
             raise ValidationError(f"rank {k!r} out of range for n={n}")
@@ -89,6 +89,8 @@ class BasisFamily(_Value):
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "BasisFamily":
+        from .subsets import Subset
+
         _check_count(n)
         _check_iterable(sets, "sets")
         collected, k = set(), None
@@ -108,7 +110,7 @@ class BasisFamily(_Value):
         return cls(n, k, frozenset())
 
     @cached_property
-    def bases(self) -> frozenset[Subset]:
+    def bases(self) -> frozenset["Subset"]:
         return frozenset(self.sorted_bases())
 
     @property
@@ -119,24 +121,30 @@ class BasisFamily(_Value):
         # in members' order: of two k-subsets, first the one whose bit string, element 1 first, is greater
         return sorted(self.masks, key=lambda mask: f"{mask:0{self.n}b}"[::-1], reverse=True)
 
-    def sorted_bases(self) -> list[Subset]:
+    def sorted_bases(self) -> list["Subset"]:
+        from .subsets import _subset
+
         return [_subset(self.n, mask) for mask in self._sorted_masks()]
 
-    def __contains__(self, s: Subset) -> bool:
+    def __contains__(self, s: "Subset") -> bool:
+        from .subsets import Subset
+
         return s.__class__ is Subset and s.n == self.n and s.mask in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __iter__(self) -> Iterator[Subset]:
+    def __iter__(self) -> Iterator["Subset"]:
         return iter(self.sorted_bases())
 
     def __repr__(self) -> str:
         return f"BasisFamily.of({self.n}, {[list(_members(mask)) for mask in self._sorted_masks()]})"
 
 
-def _check_basis(b: Subset, n: int, k: int) -> None:
+def _check_basis(b: "Subset", n: int, k: int) -> None:
     """Check b, a basis of a rank-k family: a k-subset of {1, ..., n}."""
+    from .subsets import Subset
+
     if not isinstance(b, Subset):
         raise ValidationError(f"basis {b!r} is not a Subset")
     if b.n != n:

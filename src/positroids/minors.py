@@ -34,7 +34,6 @@ from .core import (
     DecoratedPermutation,
     GrassmannNecklace,
     PreconditionError,
-    Subset,
     ValidationError,
     _Value,
     _check_element,
@@ -45,7 +44,6 @@ from .core import (
     _perm,
     _shifted_max,
     _shifted_min,
-    _subset,
     dual,
     format_necklace,
     format_perm,
@@ -338,8 +336,10 @@ class SquareRow(_Value):
 
     __match_args__ = ("a", "entry", "minor_entry", "image", "minor_image", "swap", "case")
 
-    def __init__(self, a: int, entry: Subset, minor_entry: Subset, image: int, minor_image: int, swap: int,
+    def __init__(self, a: int, entry: "Subset", minor_entry: "Subset", image: int, minor_image: int, swap: int,
                  case: CaseLabel) -> None:
+        from .subsets import Subset
+
         _check_type(entry, Subset)
         entry._same_ground(minor_entry)
         n = entry.n
@@ -386,6 +386,8 @@ class MinorTrace(_Value):
 
     @cached_property
     def rows(self) -> tuple[SquareRow, ...]:
+        from .subsets import _subset
+
         n = len(self.images)
         entries = [_subset(n, mask) for mask in self.masks]
         minor_entries = [_subset(n, mask) for mask in self.minor_masks]

@@ -62,11 +62,12 @@ from .minors import (
 ENUMERATION_CAP = 10
 
 # Entries one table of a sweep holds before it is emptied (`_Sweep`); every
-# table of n <= 6 fits.  At n = 8 a serial sweep took 31.8 s at 26.5 MiB with
-# this cap, 30.2 s at 38.4 MiB with 2^14 and 28.9 s at 58.7 MiB with 2^15 (two
-# workers: 16.7, 15.8 and 15.3 s at 24.6, 35.5 and 57.0 MiB each; Python 3.11,
-# x86-64), so only this cap keeps a worker within 32 MiB.  A full table is
-# emptied: evicting its older half took as long and peaked 1.4 MiB higher.
+# table of n <= 6 fits.  A sweep worker's memory budget is 40 MiB, which CI's
+# n = 8 step and the weekly n = 9 gate assert.  At n = 8 a serial sweep took
+# 32.1 s at a 26.5 MiB peak with this cap and 25.3 s at 116.1 MiB with none;
+# of two workers, each peaked at 24.6 MiB with this cap and at 35.5 MiB with
+# 2^14 (Python 3.11, x86-64).  A full table is emptied: evicting its older
+# half took as long and peaked 1.4 MiB higher.
 SWEEP_TABLE_CAP = 1 << 13
 
 BOTH_KINDS = frozenset({MinorKind.CONTRACTION, MinorKind.RESTRICTION})

@@ -4,10 +4,8 @@ No command or sweep calls these (`families.bases_of` and the necklace minors use
 loads this module on the first read of one of its names, and a one-shot command never compiles it.
 """
 
-from .core import (
-    Subset, ValidationError, _check_count, _check_element, _check_type, _gale_bounds, _shifted_max, _shifted_min,
-    _subset,
-)
+from .core import ValidationError, _check_count, _check_element, _check_type, _gale_bounds, _shifted_max, _shifted_min
+from .subsets import Subset, _subset
 
 
 def _check_operands(n: int, *operands: tuple[int, str]) -> None:

@@ -1,8 +1,9 @@
 """What a fresh process loads and prints: the package surface after lazy loading.
 
-`import positroids` loads `core` alone and resolves the names of `families`,
-`minors`, `oracle` and `orders` on first use, and each CLI handler imports
-what it needs when it runs.  In this test process every module is loaded
+`import positroids` loads `core` alone and resolves the names of `subsets`,
+`families`, `minors`, `oracle` and `orders` on first use, and each CLI handler
+imports what it needs when it runs.  No command loads `subsets`: the library
+reaches it only inside the calls that build or check a `Subset`.  In this test process every module is loaded
 already, so a handler that forgot its import would still pass the in-process
 tests; the checks here that matter run in a new interpreter.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import positroids
+import positroids.cli
 import positroids.core
 import positroids.families
 import positroids.minors
@@ -123,6 +125,14 @@ def test_the_surface_in_a_fresh_process():
     assert (child.returncode, child.stdout, child.stderr) == (0, "module 'positroids' has no attribute 'no_such_name'\n", "")
 
 
+def package_modules_after(code):
+    """The modules of this package that a fresh process has loaded after running code."""
+    report = "import sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'positroids'), file=sys.stderr)"
+    child = python("-c", f"{code}\n{report}")
+    assert child.returncode == 0, child.stderr
+    return set(child.stderr.splitlines()[-1].split())
+
+
 def loaded_after(code):
     """Which of LAZY_MODULES, UNUSED_MODULES and PARSER_MODULES a fresh process has loaded after running code."""
     watched = {*LAZY_MODULES, *UNUSED_MODULES, *PARSER_MODULES}
@@ -199,3 +209,70 @@ def test_reading_a_recognition_name_loads_families_alone(at_bare_start, name):
 @pytest.mark.parametrize("name", RECOGNITION)
 def test_oracle_names_the_recognition_that_families_defines(name):
     assert getattr(positroids.oracle, name) is getattr(positroids.families, name)
+
+
+@pytest.mark.parametrize(
+    "argv", [call + form for call in CLI_CALLS for form in ([], ["--format", "json"])], ids=" ".join,
+)
+def test_no_command_loads_subsets(argv):
+    assert "positroids.subsets" not in package_modules_after(f"from positroids.cli import run\nrun({argv!r})")
+
+
+def test_import_positroids_loads_core_alone():
+    assert package_modules_after("import positroids") == {"positroids", "positroids.core"}
+
+
+@pytest.mark.parametrize("name", ["Subset", "format_subset", "parse_subset", "necklace_violations", "validate_necklace"])
+def test_reading_a_subset_name_loads_subsets_alone(name):
+    loads = package_modules_after(f"import positroids\npositroids.{name}")
+    assert loads == {"positroids", "positroids.core", "positroids.subsets"}
+
+
+# calls that build or check a Subset, each the first use of `subsets` in its process
+SUBSET_CALLS = [
+    "positroids.parse_necklace('1,2;2,3;1,3').entries",
+    "positroids.parse_necklace('1,2;2,3;1,3').entry(5)",
+    "positroids.GrassmannNecklace(positroids.necklace_of(positroids.parse_perm('2,3,1')).entries)",
+    "positroids.BasisFamily.of(4, [[1, 2], [2, 3], (3, 4), [1, 4]])",
+    "sorted(positroids.bases_of(positroids.parse_necklace('1,2;2,3;1,3')).bases, key=str)",
+    "positroids.parse_bases('1,2;1,03', 3).sorted_bases()",
+    "positroids.trace_minor(positroids.parse_perm('2,3,1'), 1, positroids.MinorKind.CONTRACTION).rows[0]",
+]
+
+
+@pytest.mark.parametrize("expression", SUBSET_CALLS)
+def test_a_fresh_process_builds_subsets_through_the_library(expression):
+    child = python("-c", f"import positroids\nprint(repr({expression}))")
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == f"{eval(expression, {'positroids': positroids})!r}\n"
+
+
+# the four JSON builders of the commands, at the sites the handlers read them
+# from, each with the call of CLI_CALLS that builds it under --format json
+JSON_BUILDERS = [
+    (positroids.cli, "necklace_to_obj", CLI_CALLS[0]), (positroids.cli, "perm_to_obj", CLI_CALLS[1]),
+    (positroids.families, "bases_to_obj", CLI_CALLS[2]), (positroids.minors, "trace_to_obj", CLI_CALLS[5]),
+]
+
+
+def refuse(*args):
+    raise AssertionError("a JSON object was built")
+
+
+@pytest.mark.parametrize("module, name, argv", JSON_BUILDERS, ids=[name for _, name, _ in JSON_BUILDERS])
+def test_the_json_form_reads_each_builder_where_it_is_patched(monkeypatch, module, name, argv):
+    monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="a JSON object was built"):
+        run([*argv, "--format", "json"])
+
+
+def test_text_mode_builds_no_json_object(capsys, monkeypatch):
+    def printed():
+        statuses = [run(argv) for argv in CLI_CALLS]
+        captured = capsys.readouterr()
+        return statuses, mask_elapsed(captured.out), captured.err
+
+    expected = printed()
+    for module, name, _ in JSON_BUILDERS:
+        monkeypatch.setattr(module, name, refuse)
+    assert printed() == expected

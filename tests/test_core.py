@@ -35,7 +35,7 @@ from positroids import (
     validate_necklace,
     verify_all,
 )
-from positroids import core
+from positroids import subsets
 from positroids.minors import contract_necklace
 
 GOLDEN_PERM = "8,1,4,2,5+,7,3,6"
@@ -402,13 +402,13 @@ class TestNecklaceValidation:
 
     def test_validate_necklace_checks_once(self, monkeypatch):
         calls = []
-        check = core.necklace_violations
+        check = subsets.necklace_violations
 
         def counted(entries):
             calls.append(entries)
             return check(entries)
 
-        monkeypatch.setattr(core, "necklace_violations", counted)
+        monkeypatch.setattr(subsets, "necklace_violations", counted)
         validate_necklace([Subset.of(2, [1]), Subset.of(2, [2])])
         assert len(calls) == 1
 

@@ -6,6 +6,7 @@ import pytest
 
 import positroids.core
 import positroids.minors
+import positroids.subsets
 from positroids import (
     CaseLabel,
     DecoratedPermutation,
@@ -91,7 +92,7 @@ class TestSwaps:
         def no_subset(n, mask):
             raise AssertionError("a swap call built a Subset")
 
-        monkeypatch.setattr(positroids.core, "_subset", no_subset)
+        monkeypatch.setattr(positroids.subsets, "_subset", no_subset)
         assert [contraction_swap(necklace, CONTRACT_J, a) for a in range(1, 9)] == CONTRACT_SWAPS
         assert [restriction_swap(necklace, RESTRICT_J, a) for a in range(1, 9)] == RESTRICT_SWAPS
         assert [classify_square(perm, necklace, CONTRACT_J, a).value for a in range(1, 9)] == CONTRACT_CASES

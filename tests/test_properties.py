@@ -54,7 +54,8 @@ from positroids import (
     trace_minor,
     trace_to_obj,
 )
-from positroids.core import _necklace, _subset
+from positroids.core import _necklace
+from positroids.subsets import _subset
 from positroids.minors import _cells
 
 

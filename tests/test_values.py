@@ -34,7 +34,7 @@ from positroids import (
     parse_perm,
     trace_minor,
 )
-from positroids import core, families
+from positroids import core, families, subsets
 
 P = parse_perm("6,1,4,8,2,7,3,5")
 NECKLACE = necklace_of(P)
@@ -139,8 +139,8 @@ def test_a_frozen_value_hashes_as_its_field_tuple(name):
 
 def test_checked_constructors_and_unchecked_builders_agree():
     pairs = [
-        (Subset(5, 0b101), core._subset(5, 0b101)),
-        (Subset.of(5, [1, 3]), core._subset(5, 0b101)),
+        (Subset(5, 0b101), subsets._subset(5, 0b101)),
+        (Subset.of(5, [1, 3]), subsets._subset(5, 0b101)),
         (DecoratedPermutation((2, 1, 3), ((3, -1),)), core._perm((2, 1, 3), ((3, -1),))),
         (DecoratedPermutation.of([2, 1, 3], {3: -1}), parse_perm("2,1,3-")),
         (GrassmannNecklace(list(NECKLACE.entries)), core._necklace(NECKLACE.masks)),
@@ -151,8 +151,8 @@ def test_checked_constructors_and_unchecked_builders_agree():
         assert checked == built and not checked != built
         assert hash(checked) == hash(built)
         assert repr(checked) == repr(built)
-    assert Subset(5, 0b101) != core._subset(5, 0b100)
-    assert Subset(5, 0b101) != core._subset(6, 0b101)
+    assert Subset(5, 0b101) != subsets._subset(5, 0b100)
+    assert Subset(5, 0b101) != subsets._subset(6, 0b101)
 
 
 @pytest.mark.parametrize("name", list(VALUES))
