@@ -22,27 +22,27 @@ def _read_arg(value: str) -> str:
     return sys.stdin.read() if value == "-" else value
 
 
-def _emit(args, to_obj, text: str | None) -> int:
-    """Print to_obj() as JSON under --format json, otherwise text unless it is None; the exit status is 0.
+def _emit(args, to_obj, to_text) -> int:
+    """Print to_obj() as JSON under --format json, otherwise to_text() unless it is None; the exit status is 0.
 
-    The object is built only under --format json: a text call would throw it away.
+    Each form is built only under its own --format: the other would be thrown away.
     """
     if args["format"] == "json":
         import json
         print(json.dumps(to_obj(), indent=2))
-    elif text is not None:
-        print(text)
+    elif to_text is not None:
+        print(to_text())
     return 0
 
 
 def _cmd_necklace(args) -> int:
     necklace = necklace_of(parse_perm(_read_arg(args["perm"])))
-    return _emit(args, lambda: necklace_to_obj(necklace), format_necklace(necklace))
+    return _emit(args, lambda: necklace_to_obj(necklace), lambda: format_necklace(necklace))
 
 
 def _cmd_perm(args) -> int:
     p = perm_of(parse_necklace(_read_arg(args["necklace"])))
-    return _emit(args, lambda: perm_to_obj(p), format_perm(p))
+    return _emit(args, lambda: perm_to_obj(p), lambda: format_perm(p))
 
 
 def _cmd_bases(args) -> int:
@@ -53,7 +53,7 @@ def _cmd_bases(args) -> int:
     else:
         necklace = parse_necklace(_read_arg(args["necklace"]))
     family = bases_of(necklace)
-    return _emit(args, lambda: bases_to_obj(family), format_bases(family))
+    return _emit(args, lambda: bases_to_obj(family), lambda: format_bases(family))
 
 
 def _cmd_minor(args, kind: str) -> int:
@@ -83,7 +83,7 @@ def _cmd_minor(args, kind: str) -> int:
         return obj
 
     # each trace is followed by a blank line, then the permutation
-    return _emit(args, to_obj, "\n\n".join([*map(render_trace, traces), format_perm(p)]))
+    return _emit(args, to_obj, lambda: "\n\n".join([*map(render_trace, traces), format_perm(p)]))
 
 
 def _cmd_is_positroid(args) -> int:
@@ -92,8 +92,8 @@ def _cmd_is_positroid(args) -> int:
     family = parse_bases(_read_arg(args["bases"]), args["n"])
     positroid = is_positroid(family)
     matroid = check_matroid(family)
-    text = f"positroid: {str(positroid).lower()}\nmatroid-exchange: {str(matroid).lower()}"
-    return _emit(args, lambda: dict(n=family.n, k=family.k, positroid=positroid, matroid_exchange=matroid), text)
+    return _emit(args, lambda: dict(n=family.n, k=family.k, positroid=positroid, matroid_exchange=matroid),
+                 lambda: f"positroid: {str(positroid).lower()}\nmatroid-exchange: {str(matroid).lower()}")
 
 
 def _cmd_verify(args) -> int:

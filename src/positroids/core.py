@@ -54,11 +54,11 @@ and `_PERM_TOKEN` each canonical image token, signed or not, to its image.
 A token not in its table ("03", "+3", "1_0", "x", "", "65", ...), a
 repeated element, an element that does not fit in n, or images that are no
 permutation or signs off the fixed points send the text down the slow path,
-which reads every token with `int()`, so that it accepts what `int()` reads
-and reports the first bad entry or token.
+which reads every token with `int()` and reports the first bad entry or token.
+An image token there is decimal digits, of any script, with at most one
+trailing sign.
 """
 
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import chain
@@ -536,10 +536,8 @@ def perm_of(necklace: GrassmannNecklace) -> DecoratedPermutation:
 # Decorated permutation: comma-separated images, every fixed point suffixed
 # with its sign, e.g. "8,1,4,2,5+,7,3,6".  Necklace: entries joined by
 # semicolons, each a comma-separated increasing subset, e.g. "1,2;2,3;1,3".
-# Whitespace is ignored.  `re` compiles `_IMAGE_TOKEN` (and caches it) only
-# when a permutation text leaves the table path.
-
-_IMAGE_TOKEN = r"(\d+)([+-])?\Z"
+# Whitespace is ignored.  Off the table path an image token is decimal digits
+# (`str.isdecimal`, any script) with at most one trailing sign.
 
 
 def format_perm(p: DecoratedPermutation) -> str:
@@ -555,7 +553,7 @@ def _table_perm(s: str, toks: list[str]) -> DecoratedPermutation | None:
 
     None means a token is not in the table, the images are no permutation or
     the signs are not on exactly the fixed points, and the caller takes the
-    regex loop.  s is the tokens joined: each token holds at most one sign, so
+    `int()` loop.  s is the tokens joined: each token holds at most one sign, so
     counting the signs in s counts the signed tokens.
     """
     try:
@@ -586,11 +584,11 @@ def parse_perm(text: str) -> DecoratedPermutation:
     colors = {}
     seen = {}
     for pos, tok in enumerate(toks, start=1):
-        m = re.match(_IMAGE_TOKEN, tok)
-        if not m:
+        sign = _SIGN.get(tok[-1:])
+        digits = tok[:-1] if sign else tok
+        if not digits.isdecimal():
             raise ValidationError(f"token {pos}: {tok!r} is not an image with an optional sign")
-        v = int(m.group(1))
-        sign = m.group(2)
+        v = int(digits)
         if not 1 <= v <= n:
             raise ValidationError(f"token {pos}: image {v} is out of range 1..{n}")
         if v in seen:
@@ -599,7 +597,7 @@ def parse_perm(text: str) -> DecoratedPermutation:
         if v == pos:
             if sign is None:
                 raise ValidationError(f"token {pos}: fixed point {v} needs a + or - sign")
-            colors[pos] = 1 if sign == "+" else -1
+            colors[pos] = sign
         elif sign is not None:
             raise ValidationError(f"token {pos}: sign on {v}, which is not a fixed point here")
         images.append(v)

@@ -19,7 +19,7 @@ from operator import and_, itemgetter, or_
 
 from .core import (
     GrassmannNecklace, PreconditionError, ValidationError, _check_count, _check_iterable, _check_type, _format_mask,
-    _gale_bounds, _members, _necklace, _read_mask, _token_mask, _Value,
+    _gale_bounds, _members, _necklace, _read_mask, _Value,
 )
 
 
@@ -189,12 +189,7 @@ def parse_bases(text: str, n: int | None = None) -> BasisFamily:
         raise ValidationError("empty basis family")
     if n is None:
         n = _infer_n(s)
-    parts = s.split(";")
-    masks = list(map(_token_mask, parts))
-    # n is checked once every token is in the table, as `_read_mask` checks it
-    # at the first part; otherwise the int() path reads or reports each part
-    if min(masks) < 0 or _check_count(n) or max(masks) >> n:
-        masks = [_read_mask(part, part, n) for part in parts]
+    masks = [_read_mask(part, part, n) for part in s.split(";")]
     k = masks[0].bit_count()  # the first basis sets the rank
     for mask in masks:
         if mask.bit_count() != k:

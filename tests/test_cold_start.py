@@ -255,24 +255,61 @@ JSON_BUILDERS = [
 ]
 
 
+# the four text builders likewise, each with the call of CLI_CALLS that builds it in text mode
+TEXT_BUILDERS = [
+    (positroids.cli, "format_necklace", CLI_CALLS[0]), (positroids.cli, "format_perm", CLI_CALLS[1]),
+    (positroids.families, "format_bases", CLI_CALLS[2]), (positroids.minors, "render_trace", CLI_CALLS[5]),
+]
+
+
 def refuse(*args):
-    raise AssertionError("a JSON object was built")
+    raise AssertionError("a form the call does not print was built")
 
 
 @pytest.mark.parametrize("module, name, argv", JSON_BUILDERS, ids=[name for _, name, _ in JSON_BUILDERS])
 def test_the_json_form_reads_each_builder_where_it_is_patched(monkeypatch, module, name, argv):
     monkeypatch.setattr(module, name, refuse)
-    with pytest.raises(AssertionError, match="a JSON object was built"):
+    with pytest.raises(AssertionError, match="a form the call does not print was built"):
         run([*argv, "--format", "json"])
 
 
-def test_text_mode_builds_no_json_object(capsys, monkeypatch):
+@pytest.mark.parametrize("module, name, argv", TEXT_BUILDERS, ids=[name for _, name, _ in TEXT_BUILDERS])
+def test_the_text_form_reads_each_builder_where_it_is_patched(monkeypatch, module, name, argv):
+    monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="a form the call does not print was built"):
+        run(argv)
+
+
+def printed_with(capsys, monkeypatch, form, refused):
+    """What CLI_CALLS print under form (statuses, stdout, stderr), first as they are, then with refused patched."""
     def printed():
-        statuses = [run(argv) for argv in CLI_CALLS]
+        statuses = [run([*argv, *form]) for argv in CLI_CALLS]
         captured = capsys.readouterr()
         return statuses, mask_elapsed(captured.out), captured.err
 
     expected = printed()
-    for module, name, _ in JSON_BUILDERS:
+    for module, name, _ in refused:
         monkeypatch.setattr(module, name, refuse)
-    assert printed() == expected
+    return expected, printed()
+
+
+def test_text_mode_builds_no_json_object(capsys, monkeypatch):
+    expected, got = printed_with(capsys, monkeypatch, [], JSON_BUILDERS)
+    assert got == expected
+
+
+def test_json_mode_builds_no_text_form(capsys, monkeypatch):
+    expected, got = printed_with(capsys, monkeypatch, ["--format", "json"], TEXT_BUILDERS)
+    assert got == expected
+
+
+# text-mode calls that need neither `re` nor `enum`; a start-up without `site` loads neither
+SITELESS_CALLS = [CLI_CALLS[0], CLI_CALLS[1], CLI_CALLS[2], CLI_CALLS[6]]
+
+
+@pytest.mark.parametrize("argv", SITELESS_CALLS, ids=" ".join)
+def test_a_call_without_site_loads_no_re(argv):
+    report = "import sys\nprint(*sorted(sys.modules.keys() & {'re', 'enum'}), file=sys.stderr)"
+    child = python("-S", "-c", f"from positroids.cli import run\nrun({argv!r})\n{report}")
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.split() == []

@@ -1,4 +1,7 @@
-"""The command line examples in README.md are what the command line prints."""
+"""The command line examples in README.md are what the command line prints.
+
+CI runs each example through the installed console script too, with `readme_examples` and `assert_shown`.
+"""
 
 import re
 import shlex
@@ -37,17 +40,21 @@ def test_readme_has_examples():
     assert all(shlex.split(command)[0] == "positroids" for command, _ in EXAMPLES)
 
 
-@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[command for command, _ in EXAMPLES])
-def test_readme_example(capsys, command, shown):
-    assert run(shlex.split(command)[1:]) == 0
-    got = [mask_elapsed(line) for line in capsys.readouterr().out.splitlines()]
+def assert_shown(out, shown):
+    """Assert that out, a command's stdout, is what README shows: elapsed times masked, `...` for any run of lines."""
+    got = [mask_elapsed(line) for line in out.splitlines()]
     want = [mask_elapsed(line) for line in shown]
     if "..." not in want:
         assert got == want
         return
-    # a `...` line stands for any run of lines
     cut = want.index("...")
     head, tail = want[:cut], want[cut + 1:]
     assert len(got) >= len(head) + len(tail)
     assert got[:len(head)] == head
     assert got[len(got) - len(tail):] == tail
+
+
+@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[command for command, _ in EXAMPLES])
+def test_readme_example(capsys, command, shown):
+    assert run(shlex.split(command)[1:]) == 0
+    assert_shown(capsys.readouterr().out, shown)
