@@ -21,9 +21,11 @@ points +1, flagged degenerate; at any other fixed j the minor is p with j
 colored +1, a loop.
 
 A trace (`trace_minor`) holds columns, one entry per square, the way a
-necklace holds masks: the entry and minor-entry masks, the images before and
-after, the swaps and the case labels.  `render_trace` and `trace_to_obj` read
-the columns; the `SquareRow`s of `rows` are built from them when first read.
+necklace holds masks: the entry and minor-entry masks, the swaps and the case
+labels; the images before and after are its source's and result's.
+`render_trace` and `trace_to_obj` read the columns and the two permutations;
+the `SquareRow`s of `rows` are built from them when first read.  Every trace
+is computed: a hand-built `MinorTrace` must equal `trace_minor`'s.
 """
 
 import enum
@@ -357,53 +359,35 @@ class MinorTrace(_Value):
     """Square-by-square account of a minor at j, held as columns: one tuple per field, one entry per square.
 
     Entry a - 1 of each column describes the square at a: `masks` and
-    `minor_masks` hold the masks of I_a and K_a, `images` and `minor_images`
-    the images of a before and after, `swaps` the element bridging I_a to
-    K_a and `cases` its CaseLabel.  `rows`, one SquareRow per square, is
-    built from the columns on first access and kept; equality, hashing and
-    the repr read it.  The constructor takes the rows and reads the columns
-    off them, once it has checked the kind, the two permutations, j and that
-    the rows are the n squares of the source's ground set, in order.
+    `minor_masks` hold the masks of I_a and K_a, `swaps` the element
+    bridging I_a to K_a and `cases` its CaseLabel; the images of a before
+    and after are read off `source` and `result`.  `rows`, one SquareRow per
+    square, is built on first access and kept; equality, hashing and the
+    repr read it.  The constructor computes trace_minor(source, j, kind) and
+    takes that trace's fields when result and rows equal its own, so a
+    hand-built trace is always a true one; any other result or rows is a
+    ValidationError.
     """
 
     __match_args__ = ("kind", "j", "source", "result", "rows")
 
     def __init__(self, kind: MinorKind, j: int, source: DecoratedPermutation, result: DecoratedPermutation,
                  rows: Sequence[SquareRow]) -> None:
-        _check_kind(kind)
-        _check_type(source, DecoratedPermutation)
-        _check_type(result, DecoratedPermutation)
-        n = source.n
-        j = _check_element(j, n, "j")
-        if not isinstance(rows, Sequence) or len(rows) != n:
-            got = f"a sequence of {len(rows)}" if isinstance(rows, Sequence) else type(rows).__name__
-            raise ValidationError(f"rows must be a sequence of {n} SquareRows, got {got}")
-        for a, row in enumerate(rows, 1):
-            _check_type(row, SquareRow)
-            if row.a != a or row.entry.n != n:
-                raise ValidationError(f"row {a} is the square at {row.a} on n={row.entry.n}, expected {a} on n={n}")
-        columns = zip(*[(r.entry.mask, r.minor_entry.mask, r.image, r.minor_image, r.swap, r.case) for r in rows])
-        self.__dict__.update(vars(_trace(kind, j, source, result, *columns)))
+        trace = trace_minor(source, j, kind)
+        if result != trace.result or not isinstance(rows, Sequence) or tuple(rows) != trace.rows:
+            raise ValidationError(f"these are not the result and rows of the {kind.value} of {format_perm(source)} "
+                                  f"at j={trace.j}")
+        self.__dict__.update(vars(trace))
 
     @cached_property
     def rows(self) -> tuple[SquareRow, ...]:
         from .subsets import _subset
 
-        n = len(self.images)
+        n = self.source.n
         entries = [_subset(n, mask) for mask in self.masks]
         minor_entries = [_subset(n, mask) for mask in self.minor_masks]
-        return tuple(map(SquareRow, range(1, n + 1), entries, minor_entries, self.images, self.minor_images,
+        return tuple(map(SquareRow, range(1, n + 1), entries, minor_entries, self.source.images, self.result.images,
                          self.swaps, self.cases))
-
-
-def _trace(kind: MinorKind, j: int, source: DecoratedPermutation, result: DecoratedPermutation,
-           masks: tuple[int, ...], minor_masks: tuple[int, ...], images: tuple[int, ...],
-           minor_images: tuple[int, ...], swaps: tuple[int, ...], cases: tuple[CaseLabel, ...]) -> MinorTrace:
-    """A MinorTrace with these columns, without the checks, for columns known valid."""
-    trace = object.__new__(MinorTrace)
-    trace.__dict__.update(kind=kind, j=j, source=source, result=result, masks=masks, minor_masks=minor_masks,
-                          images=images, minor_images=minor_images, swaps=swaps, cases=cases)
-    return trace
 
 
 def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
@@ -426,8 +410,10 @@ def trace_minor(p: DecoratedPermutation, j: int, kind: MinorKind) -> MinorTrace:
     images = p.images
     inv_j = images.index(j) + 1
     cases = tuple([_case(images, swaps, j, inv_j, a, contracting) for a in range(1, p.n + 1)])
-    return _trace(kind, j, p, result, necklace.masks, minor_necklace.masks, images, result.images, tuple(swaps),
-                  cases)
+    trace = object.__new__(MinorTrace)
+    trace.__dict__.update(kind=kind, j=j, source=p, result=result, masks=necklace.masks,
+                          minor_masks=minor_necklace.masks, swaps=tuple(swaps), cases=cases)
+    return trace
 
 
 def _cells(masks: Sequence[int], n: int) -> list[str]:
@@ -449,13 +435,13 @@ def render_trace(trace: MinorTrace) -> str:
     arrow.
     """
     _check_type(trace, MinorTrace)
-    n = len(trace.images)
+    n = trace.source.n
     tops = _cells(trace.masks, n)
     bots = _cells(trace.minor_masks, n)
     swaps = list(map(str, trace.swaps))
     cases = [case.value for case in trace.cases]
-    top_arrows = [f"-{v}->" for v in trace.images]
-    bot_arrows = [f"-{v}->" for v in trace.minor_images]
+    top_arrows = [f"-{v}->" for v in trace.source.images]
+    bot_arrows = [f"-{v}->" for v in trace.result.images]
     widths = list(map(max, map(len, tops), map(len, bots), map(len, swaps), map(len, cases)))
     arrows = list(map(max, map(len, top_arrows), map(len, bot_arrows)))
     blank = [""] * n
@@ -473,7 +459,7 @@ def render_trace(trace: MinorTrace) -> str:
 
 def trace_to_obj(trace: MinorTrace) -> dict:
     _check_type(trace, MinorTrace)
-    columns = (trace.masks, trace.minor_masks, trace.images, trace.minor_images, trace.swaps, trace.cases)
+    columns = (trace.masks, trace.minor_masks, trace.source.images, trace.result.images, trace.swaps, trace.cases)
     return {
         "kind": trace.kind.value,
         "j": trace.j,

@@ -383,8 +383,8 @@ def _keep(table, key, value):
     return value
 
 
-def _sweep(n, kinds, stride, offset):
-    """One worker's share of the sweep: perms whose index hits the offset, each kind in the order given."""
+def _sweep(n, kinds, stride, workers, offset):
+    """One worker's share of the sweep: perms whose index % stride % workers is offset, each kind in the order given."""
     instances = degenerate = mismatches = 0
     check_failures: dict[str, int] = {}
     first_key = first_msg = None
@@ -399,7 +399,7 @@ def _sweep(n, kinds, stride, offset):
     sweep = _Sweep(n)
     uppers, planes = sweep.uppers, sweep.planes
     for idx, p in enumerate(enumerate_decorated_perms(n)):
-        if idx % stride != offset:
+        if idx % stride % workers != offset:
             continue
         try:
             necklace = necklace_of(p)
@@ -446,8 +446,9 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     round trip, family) fails that permutation the same way and skips its
     instances.
 
-    jobs > 1 splits the sweep across processes; results are merged
-    deterministically.  Every argument is checked before any work starts.
+    jobs > 1 splits the sweep jobs ways, run as one task per worker
+    process, at most one per core; results are merged deterministically.
+    Every argument is checked before any work starts.
     """
     _check_enumerable(n)
     try:
@@ -460,14 +461,15 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     ordered = sorted(kinds, key=lambda kk: kk.value)
     start = time.perf_counter()
     if jobs == 1:
-        parts = [_sweep(n, ordered, 1, 0)]
+        parts = [_sweep(n, ordered, 1, 1, 0)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # jobs stays the stride, so the partition and the merged report do
-        # not depend on how many workers actually run it
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(partial(_sweep, n, ordered, jobs), range(jobs)))
+        # one task per worker, each with its share of the jobs-way split: a task builds its own tables and
+        # enumerates every permutation, so more tasks than workers would only repeat that work
+        workers = min(jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(partial(_sweep, n, ordered, jobs, workers), range(workers)))
     elapsed = time.perf_counter() - start
     check_failures: dict[str, int] = {}
     for part in parts:

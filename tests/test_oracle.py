@@ -40,6 +40,7 @@ from positroids import (
     verify_all,
 )
 from positroids.core import _necklace
+from positroids.families import CANDIDATE_CAP
 
 
 def to_bits(family):
@@ -177,8 +178,9 @@ class TestVerifyAll:
     @pytest.mark.parametrize("cores", [2, None])
     def test_workers_capped_at_core_count(self, monkeypatch, cores):
         # An in-process stand-in for the pool: records the worker count it is
-        # asked for and maps serially, so no process is started at any jobs.
-        asked = []
+        # asked for and the tasks it is given, and maps serially, so no
+        # process is started at any jobs.
+        asked, tasks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -191,17 +193,21 @@ class TestVerifyAll:
                 return False
 
             def map(self, fn, args):
+                args = list(args)
+                tasks.append(len(args))
                 return map(fn, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(positroids.oracle.os, "cpu_count", lambda: cores)
         serial = verify_all(3)
-        for jobs in (2, 5000):
+        for jobs in (1, 2, 64, 5000):
             report = verify_all(3, jobs=jobs)
             for field in ("n", "kind", "instances_checked", "degenerate_skipped", "mismatches",
                           "check_failures", "first_failure"):
                 assert getattr(report, field) == getattr(serial, field)
-        assert asked == [min(2, cores or 1), cores or 1]
+        workers = [min(jobs, cores or 1) for jobs in (2, 64, 5000)]
+        assert asked == workers
+        assert tasks == workers  # one task per worker, however many ways the sweep is split
 
     def test_report_obj(self):
         obj = verify_all(2).to_obj()
@@ -674,6 +680,39 @@ def test_a_cut_out_larger_than_the_family_stops_the_walk(monkeypatch, capsys):
     assert positroids.cli.run(["is-positroid", "--bases", text]) == 0
     assert capsys.readouterr().out == "positroid: false\nmatroid-exchange: false\n"
     assert walks == [[math.comb(40, 20), 41]] * 2
+
+
+def uniform_perm_text(k, n):
+    # the decorated permutation of the uniform matroid U(k, n): i goes to i + k, cyclically
+    return ",".join(str((i + k - 1) % n + 1) for i in range(1, n + 1))
+
+
+def test_bases_past_the_candidate_limit_are_refused(monkeypatch, capsys):
+    # U(20, 40) has C(40, 20) candidates, all of them bases: bases_of refuses
+    # it before the walk draws one, in process and through the command line
+    walks = counted_walks(monkeypatch, budget=0)
+    text = uniform_perm_text(20, 40)
+    message = f"bases_of would test {math.comb(40, 20)} candidates, past the limit of {CANDIDATE_CAP}"
+    with pytest.raises(PreconditionError) as err:
+        bases_of(necklace_of(parse_perm(text)))
+    assert str(err.value) == message
+    assert positroids.cli.run(["bases", "--perm", text]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert walks == []
+
+
+def test_the_candidate_limit_is_inclusive_and_leaves_recognition_alone(monkeypatch):
+    # with the limit at 20: U(3, 6) has exactly 20 candidates and is listed,
+    # U(3, 7) has 35 and is refused, and is_positroid still answers on the
+    # 35 bases of U(3, 7), whose walk draws all 35 candidates
+    u37 = bases_of(necklace_of(parse_perm(uniform_perm_text(3, 7))))
+    monkeypatch.setattr(positroids.families, "CANDIDATE_CAP", 20)
+    walks = counted_walks(monkeypatch, budget=35)
+    assert len(bases_of(necklace_of(parse_perm(uniform_perm_text(3, 6))))) == 20
+    with pytest.raises(PreconditionError, match="^bases_of would test 35 candidates, past the limit of 20$"):
+        bases_of(necklace_of(parse_perm(uniform_perm_text(3, 7))))
+    assert is_positroid(u37)
+    assert walks == [[20, 20], [35, 35]]
 
 
 def uniform_bases(k, n):

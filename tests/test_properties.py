@@ -9,13 +9,16 @@ from hypothesis import assume, given, settings
 
 from positroids import (
     BasisFamily,
+    CaseLabel,
     DecoratedPermutation,
     GrassmannNecklace,
     InvalidNecklaceError,
     MinorKind,
     MinorTrace,
     NecklaceViolation,
+    PositroidError,
     PreconditionError,
+    SquareRow,
     Subset,
     ValidationError,
     apply_minor,
@@ -806,11 +809,46 @@ def test_trace_forms_match_the_cell_by_cell_reference(p, kind, data):
     text = render_trace(trace)
     assert text == reference_render(trace)
     assert trace_to_obj(trace) == reference_trace_obj(trace)
-    # the public constructor reads the same columns off the rows
-    rebuilt = MinorTrace(trace.kind, trace.j, trace.source, trace.result, trace.rows)
-    assert rebuilt == trace and hash(rebuilt) == hash(trace)
+    # the public constructor returns the trace it recomputes, and refuses one that differs in one field
+    rebuilt = check_hand_built(trace)
     assert render_trace(rebuilt) == text
     assert trace_to_obj(rebuilt) == trace_to_obj(trace)
+
+
+def false_traces(trace):
+    """(what is false, constructor arguments): trace's fields with one of them made false."""
+    kind, j, source, result, rows = [getattr(trace, field) for field in MinorTrace.__match_args__]
+    other = MinorKind.RESTRICTION if kind is MinorKind.CONTRACTION else MinorKind.CONTRACTION
+    a = j % source.n  # the row after j's, 0-based
+    row = [getattr(rows[a], field) for field in SquareRow.__match_args__]
+    relabelled = SquareRow(*row[:-1], next(case for case in CaseLabel if case is not row[-1]))
+    yield "swapped kind", (other, j, source, result, rows)
+    yield "wrong result", (kind, j, source, source, rows)
+    yield "reversed rows", (kind, j, source, result, rows[::-1])
+    yield "relabelled case", (kind, j, source, result, (*rows[:a], relabelled, *rows[a + 1:]))
+    yield "not a sequence", (kind, j, source, result, iter(rows))
+
+
+def check_hand_built(trace):
+    """MinorTrace(*fields of trace), checked equal to trace, once each false variant of it is refused."""
+    for what, args in false_traces(trace):
+        with pytest.raises(PositroidError):
+            MinorTrace(*args)
+            pytest.fail(f"{what} accepted")
+    rebuilt = MinorTrace(*[getattr(trace, field) for field in MinorTrace.__match_args__])
+    assert rebuilt == trace and hash(rebuilt) == hash(trace)
+    return rebuilt
+
+
+def test_every_hand_built_trace_to_n5_equals_trace_minor():
+    count = 0
+    for n in range(2, 6):
+        for p in enumerate_decorated_perms(n):
+            for j in (j for j in range(1, n + 1) if p.images[j - 1] != j):
+                for kind in MinorKind:
+                    check_hand_built(trace_minor(p, j, kind))
+                    count += 1
+    assert count == 2264  # the sum of 2 * 2^fix(s) * (n - fix(s)) over the permutations s of 2..5 elements
 
 
 # parse_perm reads canonical tokens through a table in one pass and sends
