@@ -1,20 +1,19 @@
 """Command line front end for the positroid minor operations.
 
-Only `core` loads with this module.  A call is one short process, and where Python writes no bytecode cache each
-module it imports is compiled again, so each handler imports what it needs beyond `core` when it runs: `bases` and
-`is-positroid` load `families` (which holds recognition), `contract` and `restrict` `minors`, `verify` `oracle` (which
-loads both), and `--format json` loads `json`.  For the same reason argv is read in one pass against a table of
-commands, by the standard library parser's rules and messages but without it: importing it (with `gettext` and
-`locale`) and building its seven subparsers made a cold `necklace` call about 4 ms slower, 87 ms against 83 ms
-(medians of 60 alternating runs, 2-core x86, Python 3.11, no bytecode cache).
+Only `core` and `text` (the text and JSON forms, which every command reads or prints) load with this module.  A call
+is one short process, and where Python writes no bytecode cache each module it imports is compiled again, so each
+handler imports what it needs beyond those two when it runs: `bases` and `is-positroid` load `families` (which holds
+recognition), `contract` and `restrict` `minors`, `verify` `oracle` (which loads both), and `--format json` loads
+`json`.  For the same reason argv is read in one pass against a table of commands, by the standard library parser's
+rules and messages but without it: importing it (with `gettext` and `locale`) and building its seven subparsers made
+a cold `necklace` call about 4 ms slower, 87 ms against 83 ms (medians of 60 alternating runs, 2-core x86, Python
+3.11, no bytecode cache).
 """
 
 import sys
 
-from .core import (
-    PositroidError, ValidationError, format_necklace, format_perm, necklace_of, necklace_to_obj, parse_necklace,
-    parse_perm, perm_of, perm_to_obj,
-)
+from .core import PositroidError, ValidationError, necklace_of, perm_of
+from .text import format_necklace, format_perm, necklace_to_obj, parse_necklace, parse_perm, perm_to_obj
 
 
 def _read_arg(value: str) -> str:

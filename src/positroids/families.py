@@ -18,9 +18,10 @@ from math import comb
 from operator import and_, itemgetter, or_
 
 from .core import (
-    GrassmannNecklace, PreconditionError, ValidationError, _check_count, _check_iterable, _check_type, _format_mask,
-    _gale_bounds, _members, _necklace, _read_mask, _Value,
+    GrassmannNecklace, PreconditionError, ValidationError, _check_count, _check_iterable, _check_type, _gale_bounds,
+    _necklace, _Value,
 )
+from .text import _format_mask, _members, _read_mask
 
 
 # Candidate k-subsets that `bases_of` tests at most, so that the bases it lists stay in memory: a larger call is

@@ -40,18 +40,14 @@ from .core import (
     _Value,
     _check_element,
     _check_type,
-    _format_mask,
-    _members,
     _necklace,
     _perm,
     _shifted_max,
     _shifted_min,
     dual,
-    format_necklace,
-    format_perm,
     necklace_of,
-    perm_to_obj,
 )
+from .text import _format_mask, _members, format_necklace, format_perm, perm_to_obj
 
 
 class MinorKind(enum.Enum):

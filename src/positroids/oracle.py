@@ -43,7 +43,6 @@ from .core import (
     _check_element,
     _check_type,
     _perm,
-    format_perm,
     loop_coloop_status,
     necklace_of,
     perm_of,
@@ -58,6 +57,7 @@ from .minors import (
     restrict,
     restrict_necklace,
 )
+from .text import format_perm
 
 ENUMERATION_CAP = 10
 
@@ -448,7 +448,9 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
 
     jobs > 1 splits the sweep jobs ways, run as one task per worker
     process, at most one per core; results are merged deterministically.
-    Every argument is checked before any work starts.
+    Where that leaves one worker (jobs == 1, or a single core), the sweep
+    runs in this process and starts no pool.  Every argument is checked
+    before any work starts.
     """
     _check_enumerable(n)
     try:
@@ -460,14 +462,14 @@ def verify_all(n: int, kinds=BOTH_KINDS, jobs: int = 1) -> VerificationReport:
     _check_count(jobs, "jobs", None)
     ordered = sorted(kinds, key=lambda kk: kk.value)
     start = time.perf_counter()
-    if jobs == 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         parts = [_sweep(n, ordered, 1, 1, 0)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # one task per worker, each with its share of the jobs-way split: a task builds its own tables and
         # enumerates every permutation, so more tasks than workers would only repeat that work
-        workers = min(jobs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_sweep, n, ordered, jobs, workers), range(workers)))
     elapsed = time.perf_counter() - start

@@ -1,19 +1,21 @@
 """The `Subset` value type, its text form, and the necklace checks that take `Subset` entries.
 
-`core` computes on entry masks: the conversions, the swap formulas, the text and JSON forms, the traces and the sweep
-never build a `Subset`, and no command reads one.  So `positroids` loads this module on the first read of one of its
-names, and `core`, `families` and `minors` import it inside the calls that build or check a `Subset`: a
-`GrassmannNecklace` built from its entries or read through `entries`, a `BasisFamily` built from or read as `Subset`s,
-a `SquareRow` and `MinorTrace.rows`, and subset text that leaves the table path.  `orders`, whose checked calls take
-`Subset`s, imports it when it loads.  A one-shot command never compiles it.
+`core` and `text` compute on entry masks: the conversions, the swap formulas, the text and JSON forms, the traces and
+the sweep never build a `Subset`, and no command reads one.  So `positroids` loads this module on the first read of
+one of its names, and `core`, `text`, `families` and `minors` import it inside the calls that build or check a
+`Subset`: a `GrassmannNecklace` built from its entries or read through `entries`, a `BasisFamily` built from or read
+as `Subset`s, a `SquareRow` and `MinorTrace.rows`, and subset text that leaves the table path.  `orders`, whose
+checked calls take `Subset`s, imports it when it loads.  A one-shot command never compiles it.  The tables that
+`format_subset` and `parse_subset` read live in `text`, beside the text forms of permutations and necklaces.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
 
 from .core import (
     GrassmannNecklace, InvalidNecklaceError, NecklaceViolation, ValidationError, _check_count, _check_element,
-    _check_iterable, _check_type, _format_mask, _mask_violations, _members, _necklace, _read_mask, _Value,
+    _check_iterable, _check_type, _mask_violations, _necklace, _Value,
 )
+from .text import _format_mask, _members, _read_mask
 
 
 class Subset(_Value):

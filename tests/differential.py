@@ -16,8 +16,9 @@ lines of the tree on `sys.path`, or to compare two trees:
     PYTHONPATH=src python tests/differential.py > tests/differential_golden.txt
     python tests/differential.py --compare OLD_TREE NEW_TREE --seed 7 --calls 200 --argvs 2000
 
-`--compare` runs this file once under each tree's `src` and prints the call counts and the first differing lines;
-it exits 1 when the trees differ.
+`--compare` runs this file once under each tree's `src` and prints the call counts; when the trees differ it prints
+the removed and added lines per label (the text before a line's first `(` or ` = `) and how many command lines
+differ, then the first differing lines, and exits 1.
 """
 
 import contextlib
@@ -348,6 +349,18 @@ def outcomes(seed=GOLDEN_SEED, calls=GOLDEN_CALLS, argvs=GOLDEN_ARGVS):
         yield _run(P, _argv(P, d))
 
 
+def label_counts(diff) -> dict:
+    """Removed and added lines per label of a unified diff of outcome lines.
+
+    A line's label is the text before its first `(` or ` = `: a public name, a misshapen label or `cli`.
+    """
+    counts = {}
+    for line in diff[2:]:  # past the two file headers
+        if line[0] in "-+":
+            counts.setdefault(re.split(r"\(| = ", line[1:], maxsplit=1)[0], [0, 0])[line[0] == "+"] += 1
+    return {label: tuple(pair) for label, pair in sorted(counts.items())}
+
+
 def _compare(old, new, seed, calls, argvs) -> int:
     import difflib
     import os
@@ -362,8 +375,17 @@ def _compare(old, new, seed, calls, argvs) -> int:
     print(f"seed {seed}: {api} API calls and {len(lines[0]) - api} command lines on {old}; "
           f"{len(lines[1])} lines on {new}")
     diff = list(difflib.unified_diff(*lines, old, new, n=0, lineterm=""))
-    print("\n".join(diff[:40]) if diff else "no differing lines")
-    return 1 if diff else 0
+    if not diff:
+        print("no differing lines")
+        return 0
+    counts = label_counts(diff)
+    print("differing lines by label (removed, added):")
+    for label, (removed, added) in counts.items():
+        print(f"  {label}: -{removed} +{added}")
+    removed, added = counts.get("cli", (0, 0))
+    print(f"command lines that differ: {removed} of {len(lines[0]) - api} removed, {added} added")
+    print("\n".join(diff[:40]))
+    return 1
 
 
 def main(argv=None) -> int:

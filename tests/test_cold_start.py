@@ -1,11 +1,13 @@
 """What a fresh process loads and prints: the package surface after lazy loading.
 
-`import positroids` loads `core` alone and resolves the names of `subsets`,
-`families`, `minors`, `oracle` and `orders` on first use, and each CLI handler
-imports what it needs when it runs.  No command loads `subsets`: the library
-reaches it only inside the calls that build or check a `Subset`.  In this test process every module is loaded
-already, so a handler that forgot its import would still pass the in-process
-tests; the checks here that matter run in a new interpreter.
+`import positroids` loads `core` alone and resolves the names of `text`,
+`subsets`, `families`, `minors`, `oracle` and `orders` on first use, and each
+CLI handler imports what it needs when it runs.  Every command loads `text`,
+which holds the text and JSON forms, and no command loads `subsets`: the
+library reaches it only inside the calls that build or check a `Subset`.  In
+this test process every module is loaded already, so a handler that forgot
+its import would still pass the in-process tests; the checks here that matter
+run in a new interpreter.
 """
 
 import json
@@ -30,9 +32,13 @@ PACKAGE_ROOT = str(Path(positroids.__file__).resolve().parents[1])
 
 GOLDEN_PERM = "6,1,4,8,2,7,3,5"
 GOLDEN_NECKLACE = "1,2,3,5;2,3,5,6;1,3,5,6;1,4,5,6;1,5,6,8;1,2,6,8;1,2,7,8;1,2,3,8"
-LAZY_MODULES = ("positroids.families", "positroids.minors", "positroids.oracle", "positroids.orders", "json")
+LAZY_MODULES = (
+    "positroids.families", "positroids.minors", "positroids.oracle", "positroids.orders", "positroids.text", "json",
+)
 # what loading oracle loads of this package
-ORACLE_MODULES = {"positroids.families", "positroids.minors", "positroids.oracle"}
+ORACLE_MODULES = {"positroids.families", "positroids.minors", "positroids.oracle", "positroids.text"}
+# the names that `text` defines
+TEXT_NAMES = ("format_necklace", "format_perm", "necklace_to_obj", "parse_necklace", "parse_perm", "perm_to_obj")
 # what importing dataclasses would load, and the module a future import loads; no command needs any of them
 UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
 # what importing argparse would load; the command table reads argv without them
@@ -152,13 +158,14 @@ def at_bare_start():
     "argv, loads",
     [
         (None, set()),
-        (["necklace", "--perm", GOLDEN_PERM], set()),
-        (["perm", "--necklace", GOLDEN_NECKLACE], set()),
-        (["bases", "--perm", GOLDEN_PERM], {"positroids.families"}),
-        (["restrict", "--perm", GOLDEN_PERM, "-j", "5", "--trace"], {"positroids.minors"}),
-        (["contract", "--format", "json", "--perm", GOLDEN_PERM, "-j", "3"], {"positroids.minors", "json"}),
-        (["necklace", "--format", "json", "--perm", GOLDEN_PERM], {"json"}),
-        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], {"positroids.families"}),
+        (["necklace", "--perm", GOLDEN_PERM], {"positroids.text"}),
+        (["perm", "--necklace", GOLDEN_NECKLACE], {"positroids.text"}),
+        (["bases", "--perm", GOLDEN_PERM], {"positroids.families", "positroids.text"}),
+        (["restrict", "--perm", GOLDEN_PERM, "-j", "5", "--trace"], {"positroids.minors", "positroids.text"}),
+        (["contract", "--format", "json", "--perm", GOLDEN_PERM, "-j", "3"],
+         {"positroids.minors", "positroids.text", "json"}),
+        (["necklace", "--format", "json", "--perm", GOLDEN_PERM], {"positroids.text", "json"}),
+        (["is-positroid", "--bases", "1,2;2,3;3,4;1,4"], {"positroids.families", "positroids.text"}),
         (["verify", "--max-n", "3"], ORACLE_MODULES),
     ],
     ids=["import positroids", "necklace", "perm", "bases", "restrict --trace", "contract json", "necklace json",
@@ -169,14 +176,18 @@ def test_what_a_fresh_process_loads(at_bare_start, argv, loads):
     assert loaded_after(code) - at_bare_start == loads - at_bare_start
 
 
+# orders imports subsets, which reads and writes subset text through `text`
+ORDERS_MODULES = {"positroids.orders", "positroids.text"}
+
+
 def test_reading_an_order_helper_loads_orders_alone(at_bare_start):
     loads = loaded_after("import positroids\npositroids.gale_leq")
-    assert loads - at_bare_start == {"positroids.orders"} - at_bare_start
+    assert loads - at_bare_start == ORDERS_MODULES - at_bare_start
 
 
 def test_reading_the_orders_module_through_the_package_loads_it_alone(at_bare_start):
     loads = loaded_after("import positroids\nassert positroids.orders.__name__ == 'positroids.orders'")
-    assert loads - at_bare_start == {"positroids.orders"} - at_bare_start
+    assert loads - at_bare_start == ORDERS_MODULES - at_bare_start
 
 
 def test_a_submodule_the_package_has_not_bound_comes_through_the_hook(monkeypatch):
@@ -192,9 +203,13 @@ def test_dir_lists_every_exported_name():
     assert set(positroids.__all__) <= set(dir(positroids))
 
 
+# families parses and prints basis text through `text`
+FAMILY_MODULES = {"positroids.families", "positroids.text"}
+
+
 def test_reading_a_family_name_loads_families_alone(at_bare_start):
     loads = loaded_after("import positroids\npositroids.BasisFamily")
-    assert loads - at_bare_start == {"positroids.families"} - at_bare_start
+    assert loads - at_bare_start == FAMILY_MODULES - at_bare_start
 
 
 RECOGNITION = ("is_positroid", "check_matroid", "oracle_necklace")
@@ -203,7 +218,7 @@ RECOGNITION = ("is_positroid", "check_matroid", "oracle_necklace")
 @pytest.mark.parametrize("name", RECOGNITION)
 def test_reading_a_recognition_name_loads_families_alone(at_bare_start, name):
     loads = loaded_after(f"import positroids\npositroids.{name}")
-    assert loads - at_bare_start == {"positroids.families"} - at_bare_start
+    assert loads - at_bare_start == FAMILY_MODULES - at_bare_start
 
 
 @pytest.mark.parametrize("name", RECOGNITION)
@@ -222,10 +237,17 @@ def test_import_positroids_loads_core_alone():
     assert package_modules_after("import positroids") == {"positroids", "positroids.core"}
 
 
+@pytest.mark.parametrize("name", TEXT_NAMES)
+def test_reading_a_text_name_loads_text_alone(name):
+    loads = package_modules_after(f"import positroids\npositroids.{name}")
+    assert loads == {"positroids", "positroids.core", "positroids.text"}
+
+
 @pytest.mark.parametrize("name", ["Subset", "format_subset", "parse_subset", "necklace_violations", "validate_necklace"])
 def test_reading_a_subset_name_loads_subsets_alone(name):
+    # subsets reads and writes subset text through `text`
     loads = package_modules_after(f"import positroids\npositroids.{name}")
-    assert loads == {"positroids", "positroids.core", "positroids.subsets"}
+    assert loads == {"positroids", "positroids.core", "positroids.subsets", "positroids.text"}
 
 
 # calls that build or check a Subset, each the first use of `subsets` in its process

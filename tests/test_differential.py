@@ -18,3 +18,11 @@ def test_every_outcome_matches_the_golden_file():
     got = list(differential.outcomes())
     diff = list(difflib.unified_diff(expected, got, "golden", "this tree", n=0, lineterm=""))
     assert not diff, f"{len(diff)} diff lines, the first 40:\n" + "\n".join(diff[:40])
+
+
+def test_a_compare_counts_the_differing_lines_per_label():
+    old = ["MAX_GROUND_SET = 64", "dual(2,1) -> 2,1", "dual(x) -> raise", "cli('perm',) -> 1", "cli('bases',) -> 0"]
+    new = ["MAX_GROUND_SET = 65", "dual(2,1) -> 2,1", "dual(x) -> ok", "dual(y) -> ok", "cli('perm',) -> 0",
+           "cli('bases',) -> 0"]
+    diff = list(difflib.unified_diff(old, new, "old", "new", n=0, lineterm=""))
+    assert differential.label_counts(diff) == {"MAX_GROUND_SET": (1, 1), "cli": (1, 1), "dual": (1, 2)}
