@@ -4,11 +4,13 @@
 The names that `text`, `subsets`, `families`, `minors`, `oracle` and `orders`
 define, and those submodules themselves, resolve on first use through the
 module `__getattr__` (PEP 562), which imports the defining module then.  The
-text and JSON forms (`parse_perm`, `format_necklace`, ...) live in `text`, so
-a program that never parses or prints compiles `core` alone, and a one-shot
-call that needs only `core` and `text`, such as `positroids necklace`, never
-compiles or runs the others: where Python writes no bytecode cache, every
-process pays that cost again for each module it imports.  Recognition
+text and JSON forms (`parse_perm`, `format_necklace`, ...) live in `text`,
+which the other modules import only where they parse or print, so a program
+that computes without either, such as a `verify_all` sweep, never compiles
+it; and a one-shot call that needs only `core` and `text`, such as
+`positroids necklace`, never compiles or runs the others: where Python writes
+no bytecode cache, every process pays that cost again for each module it
+imports.  Recognition
 (`is_positroid`, `check_matroid`, `oracle_necklace`) is defined in
 `families`, so reading it loads neither `minors` nor `oracle`.  `Subset`,
 which no command builds, is defined in `subsets`, so reading it loads that

@@ -9,6 +9,9 @@ Recognition asks about a family alone.  By Oh's theorem a positroid is cut out b
 needs `oracle_necklace` and `_cut_out` and no minor or sweep, and it lives here with `check_matroid`: an
 `is-positroid` call loads this module and neither `minors` nor `oracle`, which imports the three.  `check_matroid`
 tests basis exchange on one witness plane per element, with no 2^n-bit vector, at every n up to 64.
+
+The text and JSON forms read and write masks through `text`, which they import when called, so a sweep or a
+recognition of a family built in memory never compiles it.
 """
 
 from collections.abc import Iterable, Iterator
@@ -21,7 +24,6 @@ from .core import (
     GrassmannNecklace, PreconditionError, ValidationError, _check_count, _check_iterable, _check_type, _gale_bounds,
     _necklace, _Value,
 )
-from .text import _format_mask, _members, _read_mask
 
 
 # Candidate k-subsets that `bases_of` tests at most, so that the bases it lists stay in memory: a larger call is
@@ -149,6 +151,8 @@ class BasisFamily(_Value):
         return iter(self.sorted_bases())
 
     def __repr__(self) -> str:
+        from .text import _members
+
         return f"BasisFamily.of({self.n}, {[list(_members(mask)) for mask in self._sorted_masks()]})"
 
 
@@ -173,6 +177,8 @@ def _family(n: int, k: int, masks: frozenset[int]) -> BasisFamily:
 
 def format_bases(family: BasisFamily) -> str:
     """The bases in members' order, joined by the necklace separator ";"."""
+    from .text import _format_mask
+
     _check_type(family, BasisFamily)
     return ";".join(map(_format_mask, family._sorted_masks()))
 
@@ -194,6 +200,8 @@ def _infer_n(s: str) -> int:
 
 
 def parse_bases(text: str, n: int | None = None) -> BasisFamily:
+    from .text import _format_mask, _read_mask
+
     _check_type(text, str)
     s = "".join(text.split())
     if not s:
@@ -209,6 +217,8 @@ def parse_bases(text: str, n: int | None = None) -> BasisFamily:
 
 
 def bases_to_obj(family: BasisFamily) -> dict:
+    from .text import _members
+
     _check_type(family, BasisFamily)
     return {
         "n": family.n,

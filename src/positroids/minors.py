@@ -25,7 +25,9 @@ necklace holds masks: the entry and minor-entry masks, the swaps and the case
 labels; the images before and after are its source's and result's.
 `render_trace` and `trace_to_obj` read the columns and the two permutations;
 the `SquareRow`s of `rows` are built from them when first read.  Every trace
-is computed: a hand-built `MinorTrace` must equal `trace_minor`'s.
+is computed: a hand-built `MinorTrace` must equal `trace_minor`'s.  Those two,
+and the error messages, import their formatters from `text` when they run, so
+the minors and traces themselves load no text code.
 """
 
 import enum
@@ -47,7 +49,6 @@ from .core import (
     dual,
     necklace_of,
 )
-from .text import _format_mask, _members, format_necklace, format_perm, perm_to_obj
 
 
 class MinorKind(enum.Enum):
@@ -319,6 +320,8 @@ def classify_square(
     if necklace.n != p.n:
         raise ValidationError(f"the necklace has {necklace.n} entries, expected {p.n}")
     if necklace.masks != necklace_of(p).masks:
+        from .text import format_necklace, format_perm
+
         raise ValidationError(f"the necklace {format_necklace(necklace)} is not the necklace of {format_perm(p)}")
     contracting = kind is MinorKind.CONTRACTION
     swaps = _swaps(necklace, j, contracting)
@@ -371,6 +374,8 @@ class MinorTrace(_Value):
                  rows: Sequence[SquareRow]) -> None:
         trace = trace_minor(source, j, kind)
         if result != trace.result or not isinstance(rows, Sequence) or tuple(rows) != trace.rows:
+            from .text import format_perm
+
             raise ValidationError(f"these are not the result and rows of the {kind.value} of {format_perm(source)} "
                                   f"at j={trace.j}")
         self.__dict__.update(vars(trace))
@@ -417,6 +422,8 @@ def _cells(masks: Sequence[int], n: int) -> list[str]:
 
     Below 10 every element is one digit, so the cells drop the commas.
     """
+    from .text import _format_mask
+
     cells = [_format_mask(mask) or "{}" for mask in masks]
     return [cell.replace(",", "") for cell in cells] if n <= 9 else cells
 
@@ -430,6 +437,8 @@ def render_trace(trace: MinorTrace) -> str:
     centred in the width of its widest cell, each arrow in that of its wider
     arrow.
     """
+    from .text import format_perm
+
     _check_type(trace, MinorTrace)
     n = trace.source.n
     tops = _cells(trace.masks, n)
@@ -454,6 +463,8 @@ def render_trace(trace: MinorTrace) -> str:
 
 
 def trace_to_obj(trace: MinorTrace) -> dict:
+    from .text import _members, perm_to_obj
+
     _check_type(trace, MinorTrace)
     columns = (trace.masks, trace.minor_masks, trace.source.images, trace.result.images, trace.swaps, trace.cases)
     return {

@@ -26,7 +26,9 @@ each worker of a parallel sweep has its own.
 
 Recognition (`oracle_necklace`, `is_positroid`, `check_matroid`) needs no
 minor or sweep, so `families` defines it; `oracle.is_positroid` and the other
-two are the same objects, imported from there.
+two are the same objects, imported from there.  A sweep formats a permutation
+only for its first failure, importing `text.format_perm` then, so a clean
+sweep's process compiles no text code.
 """
 
 import os
@@ -57,7 +59,6 @@ from .minors import (
     restrict,
     restrict_necklace,
 )
-from .text import format_perm
 
 ENUMERATION_CAP = 10
 
@@ -389,13 +390,16 @@ def _sweep(n, kinds, stride, workers, offset):
     check_failures: dict[str, int] = {}
     first_key = first_msg = None
 
-    def record(key, msg, tags):
+    def record(key, p, detail, tags):
+        # only the first failure's message is kept, so only it is formatted
         nonlocal mismatches, first_key, first_msg
         mismatches += 1
         for tag in tags:
             check_failures[tag] = check_failures.get(tag, 0) + 1
         if first_key is None or key < first_key:
-            first_key, first_msg = key, msg
+            from .text import format_perm
+
+            first_key, first_msg = key, f"n={n} perm={format_perm(p)}{detail}"
     sweep = _Sweep(n)
     uppers, planes = sweep.uppers, sweep.planes
     for idx, p in enumerate(enumerate_decorated_perms(n)):
@@ -404,13 +408,13 @@ def _sweep(n, kinds, stride, workers, offset):
         try:
             necklace = necklace_of(p)
             if perm_of(necklace) != p:
-                record((idx, 0, ""), f"n={n} perm={format_perm(p)}: round-trip", ["round-trip"])
+                record((idx, 0, ""), p, ": round-trip", ["round-trip"])
             family = _family_bits(uppers, necklace.masks)
             if _gale_minima(family, planes) != necklace.masks:
-                record((idx, 0, ""), f"n={n} perm={format_perm(p)}: min-recovery", ["min-recovery"])
+                record((idx, 0, ""), p, ": min-recovery", ["min-recovery"])
         except Exception as err:
             # with no necklace or family there is nothing to check the minors against
-            record((idx, 0, ""), f"n={n} perm={format_perm(p)}: raised {type(err).__name__}: {err}", ["raised"])
+            record((idx, 0, ""), p, f": raised {type(err).__name__}: {err}", ["raised"])
             continue
         for j in range(1, n + 1):
             for kind in kinds:
@@ -425,8 +429,7 @@ def _sweep(n, kinds, stride, workers, offset):
                 else:
                     instances += 1
                 if fails:
-                    where = f"n={n} perm={format_perm(p)} j={j} kind={kind.value}"
-                    record((idx, j, kind.value), f"{where}: {', '.join(shown)}", fails)
+                    record((idx, j, kind.value), p, f" j={j} kind={kind.value}: {', '.join(shown)}", fails)
     return dict(
         instances=instances, degenerate=degenerate, mismatches=mismatches,
         check_failures=check_failures, first_key=first_key, first_msg=first_msg,

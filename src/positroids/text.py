@@ -1,8 +1,10 @@
 """The text and JSON forms of permutations and necklaces, and the tables that read and write subset text.
 
 `core` holds the values and the mathematics; this module turns them into text and back.  `positroids` loads it on the
-first read of one of its names, and `subsets`, `families`, `minors`, `oracle` and `cli` import it when they load, since
-each of them parses or prints.  A cold `import positroids` compiles none of it.
+first read of one of its names, and `cli` and `subsets` import it when they load, since every command prints and a
+`Subset` reads its members here.  `families`, `minors` and `oracle` import it inside the calls that parse or print: a
+basis list, a trace's diagram or JSON, a repr, an error or a sweep's first failure.  So a process that computes on
+values it builds, such as a `verify_all` sweep, compiles none of it, and neither does a cold `import positroids`.
 
 Subsets and permutations cross the text boundary by constant tables built
 at import.  Out, a mask's members are read a hexadecimal digit at a time

@@ -3,7 +3,8 @@
 `import positroids` loads `core` alone and resolves the names of `text`,
 `subsets`, `families`, `minors`, `oracle` and `orders` on first use, and each
 CLI handler imports what it needs when it runs.  Every command loads `text`,
-which holds the text and JSON forms, and no command loads `subsets`: the
+which holds the text and JSON forms, but a library call that prints nothing,
+a sweep among them, does not.  No command loads `subsets`: the
 library reaches it only inside the calls that build or check a `Subset`.  In
 this test process every module is loaded already, so a handler that forgot
 its import would still pass the in-process tests; the checks here that matter
@@ -35,7 +36,7 @@ GOLDEN_NECKLACE = "1,2,3,5;2,3,5,6;1,3,5,6;1,4,5,6;1,5,6,8;1,2,6,8;1,2,7,8;1,2,3
 LAZY_MODULES = (
     "positroids.families", "positroids.minors", "positroids.oracle", "positroids.orders", "positroids.text", "json",
 )
-# what loading oracle loads of this package
+# what the verify command loads of this package: oracle with families and minors, and text with the CLI
 ORACLE_MODULES = {"positroids.families", "positroids.minors", "positroids.oracle", "positroids.text"}
 # the names that `text` defines
 TEXT_NAMES = ("format_necklace", "format_perm", "necklace_to_obj", "parse_necklace", "parse_perm", "perm_to_obj")
@@ -203,8 +204,8 @@ def test_dir_lists_every_exported_name():
     assert set(positroids.__all__) <= set(dir(positroids))
 
 
-# families parses and prints basis text through `text`
-FAMILY_MODULES = {"positroids.families", "positroids.text"}
+# families imports `text` only inside the calls that parse or print basis text
+FAMILY_MODULES = {"positroids.families"}
 
 
 def test_reading_a_family_name_loads_families_alone(at_bare_start):
@@ -235,6 +236,24 @@ def test_no_command_loads_subsets(argv):
 
 def test_import_positroids_loads_core_alone():
     assert package_modules_after("import positroids") == {"positroids", "positroids.core"}
+
+
+# calls that compute on values the library builds and print nothing: none of them loads `text`
+COMPUTING_CALLS = [
+    ("positroids.verify_all(3, positroids.BOTH_KINDS)",
+     {"positroids.families", "positroids.minors", "positroids.oracle"}),
+    ("positroids.contract(p, 1)", {"positroids.minors"}),
+    ("positroids.trace_minor(p, 1, positroids.MinorKind.RESTRICTION)", {"positroids.minors"}),
+    ("positroids.is_positroid(positroids.bases_of(positroids.necklace_of(p)))", {"positroids.families"}),
+]
+
+
+@pytest.mark.parametrize(
+    "expression, loads", COMPUTING_CALLS, ids=["verify_all", "contract", "trace_minor", "is_positroid"],
+)
+def test_a_call_that_prints_nothing_loads_no_text(expression, loads):
+    code = f"import positroids\np = positroids.DecoratedPermutation.of([2, 3, 1])\n{expression}"
+    assert package_modules_after(code) == {"positroids", "positroids.core", *loads}
 
 
 @pytest.mark.parametrize("name", TEXT_NAMES)
