@@ -20,7 +20,7 @@ bases through or avoiding j, so each sweep (`_Sweep`) keeps two tables: a
 minor's necklace masks and family bits, with its colour flip's masks and loop
 verdict at each j met, and a kept family's Gale minima with whether they cut
 that family out, which is the closure verdict for either kind.
-`_verify_instance` says why neither table can change the report.  A table is
+`_Sweep` says why neither table can change the report.  A table is
 emptied at `SWEEP_TABLE_CAP` entries and dropped when its sweep returns, so
 each worker of a parallel sweep has its own.
 
@@ -53,7 +53,6 @@ from .core import (
 from .families import BasisFamily, _family, check_matroid, is_positroid, oracle_necklace
 from .minors import (
     MinorKind,
-    _degenerate,
     contract,
     contract_necklace,
     restrict,
@@ -135,45 +134,6 @@ class VerificationReport(_Value):
         return {name: getattr(self, name) for name in self.__match_args__} | {"check_failures": dict(self.check_failures)}
 
 
-def _check_squares(p, necklace, minor_necklace, result, j, kind):
-    """Square commutation along the whole trace.
-
-    Each square must satisfy the step rule, and exactly one of its two
-    commuting patterns: the carried swap descends (top image equals the next
-    swap, bottom image equals this one, sides flipped for restriction), or
-    the square is inert (images equal, swaps equal).  The swap at a is read
-    off I_a and K_a: the element other than j that they do not share, or j
-    itself where they are equal.
-    """
-    failures = []
-    images, result_images = p.images, result.images
-    n = len(images)
-    minor = minor_necklace.masks
-    for a in range(1, n + 1):
-        # the step rule from K_a under the minor's image of a
-        mask = minor[a - 1]
-        bit = 1 << (a - 1)
-        if mask & bit:
-            mask = mask ^ bit | 1 << (result_images[a - 1] - 1)
-        if mask != minor[a % n]:
-            failures.append("commutation")
-            break
-    contracting = kind is MinorKind.CONTRACTION
-    not_j = ~(1 << (j - 1))
-    swaps = [((e ^ m) & not_j).bit_length() or j for e, m in zip(necklace.masks, minor)]
-    for a in range(1, n + 1):
-        here = swaps[a - 1]
-        there = swaps[a % n]  # the swap at a + 1
-        top, bottom = (there, here) if contracting else (here, there)
-        image, minor_image = images[a - 1], result_images[a - 1]
-        carried = image == top and minor_image == bottom
-        inert = minor_image == image and here == there
-        if carried == inert:
-            failures.append("square-pattern")
-            break
-    return failures
-
-
 def _element_planes(n):
     """P_1..P_n on bit vectors of 2^n bits: bit m of P_e is set when m holds e."""
     size = 1 << n
@@ -219,101 +179,6 @@ def _gale_minima(bits, planes):
     return tuple(minima)
 
 
-def _verify_instance(p, necklace, family, j, kind, sweep):
-    """Run every oracle comparison for one (perm, j, kind) instance.
-
-    Returns (degenerate, failure tags).  Degenerate instances only assert
-    the identity convention; everything else is checked against the brute
-    force route and the structural expectations (j becomes a loop, rank
-    drops by one under contraction and holds under restriction).  `family`
-    is p's basis family as a bit vector and `sweep` the sweep's `_Sweep`.
-    The per-kind routines and the bit helpers are looked up when called, so
-    a patched module binding is the one checked.
-
-    Two results come from the sweep's tables, each read with one `get` and
-    filled on a miss by `_Sweep`.  `sweep.minors` is keyed by the minor
-    permutation, images and colours, and gives its necklace's masks and
-    their family bits for the "oracle", "necklace-agreement" and "structure"
-    checks, and two rows filled here at each j met: the colour-flipped
-    necklace's masks for "color-flip" and the loop verdict for "structure".
-    Only a key that passed the permutation guard is stored, so a hit skips
-    it.  `sweep.kept` is keyed by the kept family's bit vector and gives
-    its Gale minima, None when it is empty, for "necklace-formula", and
-    whether those minima cut the kept family out, for "closure".  Each table
-    holds at most `SWEEP_TABLE_CAP` entries.  The calls they stand for are
-    pure and depend on the key and j alone, and a call that raises stores
-    nothing, so every check sees the inputs, and every instance the
-    exceptions in the same order, that it would with no table, and the
-    report cannot change.
-
-    Closure asks whether the oracle family is cut out by its Gale minima,
-    and the kept family answers for both kinds.  Restricting, the two are
-    one family.  Contracting, every kept basis holds j, so every kept
-    minimum M_t does, and the contracted family is cut out by the M_t less j
-    exactly when the kept one is cut out by the M_t: from start j + 1, j
-    comes last, so every set above M_t there holds j; from start j, j comes
-    first, so no set above M_t less j there holds j; and dropping j from two
-    sets that hold it lowers both prefix counts by one, so no Gale
-    comparison changes.
-    """
-    failures = []
-    k = necklace.k
-    contracting = kind is MinorKind.CONTRACTION
-    result = (contract if contracting else restrict)(p, j)
-    key = (result.images, result.colors)
-    entry = sweep.minors.get(key)
-    # the walks build their results unchecked: images that are not a
-    # permutation go through the checking constructor, which raises; a
-    # stored key has passed this already
-    if entry is None and frozenset(result.images) != sweep.ground:
-        DecoratedPermutation(result.images, result.colors)
-    if _degenerate(p, j, contracting):
-        if result != sweep.identity:
-            failures.append("convention")
-        return True, failures
-    # the bases through j when contracting, avoiding j when restricting;
-    # avoiding j they are the oracle's deletion itself
-    planes = sweep.planes
-    bit = 1 << (j - 1)
-    if contracting:
-        oracle_family = _contract_bits(family, planes, j)
-        kept = family & planes[j - 1]
-    else:
-        oracle_family = kept = _delete_bits(family, planes, j)
-    result_masks, result_family, flips, loops = entry or sweep.add_minor(key, result)
-    if result_family != oracle_family:
-        failures.append("oracle")
-    minor_necklace = (contract_necklace if contracting else restrict_necklace)(necklace, j)
-    kept_minima, closed = sweep.kept.get(kept) or sweep.add_kept(kept)
-    if kept_minima != minor_necklace.masks:
-        failures.append("necklace-formula")
-    # contraction's entries carry j, which the loop j of the result lacks;
-    # restriction's must already be free of j, so they are compared as is
-    agreed = tuple([m & ~bit for m in minor_necklace.masks]) if contracting else minor_necklace.masks
-    if result_masks != agreed:
-        failures.append("necklace-agreement")
-    if contracting:
-        flip = flips[j - 1]
-        if flip is None:
-            flip = flips[j - 1] = necklace_of(result.with_color(j, -1)).masks
-        if flip != minor_necklace.masks:
-            failures.append("color-flip")
-    if p.images[j - 1] == j:
-        # a non-degenerate fixed j becomes a loop (a restricted one already is)
-        if result != p.with_color(j, 1):
-            failures.append("convention")
-    else:
-        failures.extend(_check_squares(p, necklace, minor_necklace, result, j, kind))
-    if not closed:
-        failures.append("closure")
-    is_loop = loops[j - 1]
-    if is_loop is None:
-        is_loop = loops[j - 1] = loop_coloop_status(result, j) == "loop"
-    if not is_loop or result_masks[0].bit_count() != (k - 1 if contracting else k):
-        failures.append("structure")
-    return False, failures
-
-
 def _schubert_cells(n):
     """uppers[t][m]: the masks of |m| members Gale-above m from t + 1, as bits.
 
@@ -350,9 +215,34 @@ class _Sweep:
     `uppers` are the Schubert cells of `_family_bits`, `planes` the element
     planes, `ground` the set {1..n} and `identity` the degenerate
     convention's all-loop permutation.  `minors` and `kept` are the tables
-    that `_verify_instance` reads, and `add_minor` and `add_kept` fill them
-    on a miss, calling `necklace_of`, `_family_bits` and `_gale_minima`
-    through their module bindings, so a fault planted there is still seen.
+    that `_sweep` reads, each with one `get` per instance, and `add_minor`
+    and `add_kept` fill them on a miss, calling `necklace_of`, `_family_bits`
+    and `_gale_minima` through their module bindings, so a fault planted
+    there is still seen.
+
+    `minors` is keyed by the minor permutation, images and colours, and gives
+    its necklace's masks and their family bits for the "oracle",
+    "necklace-agreement" and "structure" checks, and two rows that the sweep
+    fills at each j met: the colour-flipped necklace's masks for "color-flip"
+    and the loop verdict for "structure".  Only a key that passed the
+    permutation guard is stored, so a hit skips it.  `kept` is keyed by the
+    kept family's bit vector and gives its Gale minima, None when it is
+    empty, for "necklace-formula", and whether those minima cut the kept
+    family out, for "closure".  Each table holds at most `SWEEP_TABLE_CAP`
+    entries.  The calls they stand for are pure and depend on the key and j
+    alone, and a call that raises stores nothing, so every check sees the
+    inputs, and every instance the exceptions in the same order, that it
+    would with no table, and the report cannot change.
+
+    Closure asks whether the oracle family is cut out by its Gale minima,
+    and the kept family answers for both kinds.  Restricting, the two are
+    one family.  Contracting, every kept basis holds j, so every kept
+    minimum M_t does, and the contracted family is cut out by the M_t less j
+    exactly when the kept one is cut out by the M_t: from start j + 1, j
+    comes last, so every set above M_t there holds j; from start j, j comes
+    first, so no set above M_t less j there holds j; and dropping j from two
+    sets that hold it lowers both prefix counts by one, so no Gale
+    comparison changes.
     """
 
     def __init__(self, n):
@@ -385,7 +275,18 @@ def _keep(table, key, value):
 
 
 def _sweep(n, kinds, stride, workers, offset):
-    """One worker's share of the sweep: perms whose index % stride % workers is offset, each kind in the order given."""
+    """One worker's share of the sweep: perms whose index % stride % workers is offset, each kind in the order given.
+
+    A permutation's own checks (round trip, the family's Gale minima) run
+    once, then its instances, one per (j, kind) of the plan, in one loop.
+    A degenerate instance only asserts the identity convention; every other
+    one is checked against the brute force route and the structural
+    expectations (j becomes a loop, rank drops by one under contraction and
+    holds under restriction), and where j is not fixed, square commutation
+    along the whole trace.  The per-kind routines and the bit helpers are
+    looked up when called, so a patched module binding is the one checked;
+    the tables are `_Sweep`'s.
+    """
     instances = degenerate = mismatches = 0
     check_failures: dict[str, int] = {}
     first_key = first_msg = None
@@ -401,7 +302,9 @@ def _sweep(n, kinds, stride, workers, offset):
 
             first_key, first_msg = key, f"n={n} perm={format_perm(p)}{detail}"
     sweep = _Sweep(n)
-    uppers, planes = sweep.uppers, sweep.planes
+    uppers, planes, ground, identity = sweep.uppers, sweep.planes, sweep.ground, sweep.identity
+    minors_get, kept_get = sweep.minors.get, sweep.kept.get
+    plan = [(j, kind, kind is MinorKind.CONTRACTION) for j in range(1, n + 1) for kind in kinds]
     for idx, p in enumerate(enumerate_decorated_perms(n)):
         if idx % stride % workers != offset:
             continue
@@ -409,27 +312,110 @@ def _sweep(n, kinds, stride, workers, offset):
             necklace = necklace_of(p)
             if perm_of(necklace) != p:
                 record((idx, 0, ""), p, ": round-trip", ["round-trip"])
-            family = _family_bits(uppers, necklace.masks)
-            if _gale_minima(family, planes) != necklace.masks:
+            masks = necklace.masks
+            family = _family_bits(uppers, masks)
+            if _gale_minima(family, planes) != masks:
                 record((idx, 0, ""), p, ": min-recovery", ["min-recovery"])
+            k = necklace.k
         except Exception as err:
             # with no necklace or family there is nothing to check the minors against
             record((idx, 0, ""), p, f": raised {type(err).__name__}: {err}", ["raised"])
             continue
-        for j in range(1, n + 1):
-            for kind in kinds:
-                try:
-                    skipped, fails = _verify_instance(p, necklace, family, j, kind, sweep)
-                    shown = fails
-                except Exception as err:
-                    # an invalid value built by a routine under test, or its crash, fails the instance, not the sweep
-                    skipped, fails, shown = False, ["raised"], [f"raised {type(err).__name__}: {err}"]
+        images = p.images
+        colors = dict(p.colors)
+        for j, kind, contracting in plan:
+            try:
+                fails = []
+                result = (contract if contracting else restrict)(p, j)
+                key = (result.images, result.colors)
+                entry = minors_get(key)
+                # the walks build their results unchecked: images that are not a
+                # permutation go through the checking constructor, which raises; a
+                # stored key has passed this already
+                if entry is None and frozenset(result.images) != ground:
+                    DecoratedPermutation(result.images, result.colors)
+                # the fixed-j rule's bad colour: +1 (a loop) contracting, -1 (a coloop) restricting
+                skipped = colors.get(j) == (1 if contracting else -1)
                 if skipped:
-                    degenerate += 1
+                    if result != identity:
+                        fails.append("convention")
                 else:
-                    instances += 1
-                if fails:
-                    record((idx, j, kind.value), p, f" j={j} kind={kind.value}: {', '.join(shown)}", fails)
+                    # the bases through j when contracting, avoiding j when restricting;
+                    # avoiding j they are the oracle's deletion itself
+                    bit = 1 << (j - 1)
+                    if contracting:
+                        oracle_family = _contract_bits(family, planes, j)
+                        kept = family & planes[j - 1]
+                    else:
+                        oracle_family = kept = _delete_bits(family, planes, j)
+                    result_masks, result_family, flips, loops = entry or sweep.add_minor(key, result)
+                    if result_family != oracle_family:
+                        fails.append("oracle")
+                    minor = (contract_necklace if contracting else restrict_necklace)(necklace, j).masks
+                    kept_minima, closed = kept_get(kept) or sweep.add_kept(kept)
+                    if kept_minima != minor:
+                        fails.append("necklace-formula")
+                    # contraction's entries carry j, which the loop j of the result lacks;
+                    # restriction's must already be free of j, so they are compared as is
+                    agreed = tuple([m & ~bit for m in minor]) if contracting else minor
+                    if result_masks != agreed:
+                        fails.append("necklace-agreement")
+                    if contracting:
+                        flip = flips[j - 1]
+                        if flip is None:
+                            flip = flips[j - 1] = necklace_of(result.with_color(j, -1)).masks
+                        if flip != minor:
+                            fails.append("color-flip")
+                    if images[j - 1] == j:
+                        # a non-degenerate fixed j becomes a loop (a restricted one already is)
+                        if result != p.with_color(j, 1):
+                            fails.append("convention")
+                    else:
+                        # Square commutation.  Each square must satisfy the step rule, and
+                        # exactly one of its two commuting patterns: the carried swap
+                        # descends (top image equals the next swap, bottom image equals this
+                        # one, sides flipped for restriction), or the square is inert (images
+                        # equal, swaps equal).  The swap at a is read off I_a and K_a: the
+                        # element other than j that they do not share, or j itself where
+                        # they are equal.
+                        result_images = result.images
+                        for a in range(1, n + 1):
+                            # the step rule from K_a under the minor's image of a
+                            mask = minor[a - 1]
+                            if mask >> (a - 1) & 1:
+                                mask = mask ^ 1 << (a - 1) | 1 << (result_images[a - 1] - 1)
+                            if mask != minor[a % n]:
+                                fails.append("commutation")
+                                break
+                        not_j = ~bit
+                        swaps = [((e ^ m) & not_j).bit_length() or j for e, m in zip(masks, minor)]
+                        for a in range(1, n + 1):
+                            here = swaps[a - 1]
+                            there = swaps[a % n]  # the swap at a + 1
+                            top, bottom = (there, here) if contracting else (here, there)
+                            image, minor_image = images[a - 1], result_images[a - 1]
+                            carried = image == top and minor_image == bottom
+                            inert = minor_image == image and here == there
+                            if carried == inert:
+                                fails.append("square-pattern")
+                                break
+                    if not closed:
+                        fails.append("closure")
+                    is_loop = loops[j - 1]
+                    if is_loop is None:
+                        is_loop = loops[j - 1] = loop_coloop_status(result, j) == "loop"
+                    if not is_loop or result_masks[0].bit_count() != (k - 1 if contracting else k):
+                        fails.append("structure")
+                shown = fails
+            except Exception as err:
+                # an invalid value built by a routine under test, or its crash, fails the instance, not the sweep
+                skipped, fails, shown = False, ["raised"], [f"raised {type(err).__name__}: {err}"]
+            if skipped:
+                degenerate += 1
+            else:
+                instances += 1
+            if fails:
+                record((idx, j, kind.value), p, f" j={j} kind={kind.value}: {', '.join(shown)}", fails)
     return dict(
         instances=instances, degenerate=degenerate, mismatches=mismatches,
         check_failures=check_failures, first_key=first_key, first_msg=first_msg,

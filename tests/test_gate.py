@@ -5,7 +5,9 @@ the function and onto the oracle's binding of it, runs `verify_all(4)` and
 asserts the exact failure tags and the first failure the sweep reports.
 Across the table every tag the verifier can emit appears at least once, so
 a check that stops firing fails this file.  Every row runs again with sweep
-tables that store nothing, so a table cannot hide or change a report.
+tables that store nothing, so a table cannot hide or change a report, and
+again with each kind of minor alone, so the sweep's (j, kind) plan treats
+one kind the way it treats both.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import positroids.core
 import positroids.minors
 import positroids.oracle
-from positroids import DecoratedPermutation, dual, verify_all
+from positroids import DecoratedPermutation, MinorKind, dual, verify_all
 from positroids.core import ValidationError, _necklace, _perm
 
 
@@ -389,10 +391,8 @@ def test_planted_fault_is_reported(monkeypatch, name, fault, failures, first):
     assert report.first_failure == f"n=4 {first}"
 
 
-@pytest.mark.parametrize("name, fault, failures, first", GATE)
-def test_planted_fault_is_reported_with_no_table(monkeypatch, name, fault, failures, first):
-    # the sweep's tables only stand in for pure calls: a sweep that stores
-    # nothing, and so makes every call afresh, gives the same report
+def store_no_table(monkeypatch):
+    """Give every sweep tables that store nothing; returns the list they are added to."""
     class Table(dict):
         def __setitem__(self, key, value):
             pass
@@ -406,11 +406,57 @@ def test_planted_fault_is_reported_with_no_table(monkeypatch, name, fault, failu
             tables.extend([self.minors, self.kept])
 
     monkeypatch.setattr(positroids.oracle, "_Sweep", Sweep)
+    return tables
+
+
+@pytest.mark.parametrize("name, fault, failures, first", GATE)
+def test_planted_fault_is_reported_with_no_table(monkeypatch, name, fault, failures, first):
+    # the sweep's tables only stand in for pure calls: a sweep that stores
+    # nothing, and so makes every call afresh, gives the same report
+    tables = store_no_table(monkeypatch)
     plant(monkeypatch, name, fault)
     report = verify_all(4)
     assert len(tables) == 2 and not any(tables)
     assert report.check_failures == failures
     assert report.first_failure == f"n=4 {first}"
+
+
+def permutations_whose_own_checks_raise(n):
+    """How many permutations of size n the sweep fails as `raised` before their instances.
+
+    These are the checks it makes once per permutation, through the same
+    module bindings: the necklace, its round trip, the family and its minima.
+    """
+    oracle = positroids.oracle
+    uppers, planes = oracle._schubert_cells(n), oracle._element_planes(n)
+    raised = 0
+    for p in oracle.enumerate_decorated_perms(n):
+        try:
+            necklace = oracle.necklace_of(p)
+            oracle.perm_of(necklace)
+            oracle._gale_minima(oracle._family_bits(uppers, necklace.masks), planes)
+        except Exception:
+            raised += 1
+    return raised
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "no-table"])
+@pytest.mark.parametrize("name, fault, failures, first", GATE)
+def test_each_kind_alone_splits_the_report(monkeypatch, name, fault, failures, first, tables):
+    # a permutation's own failures appear once in each single-kind report, and
+    # every instance's in exactly one of them
+    if not tables:
+        store_no_table(monkeypatch)
+    plant(monkeypatch, name, fault)
+    reports = [verify_all(4, kinds={kind}) for kind in MinorKind]
+    alone = [report.check_failures for report in reports]
+    own = {"round-trip": failures.get("round-trip", 0), "min-recovery": failures.get("min-recovery", 0),
+           "raised": permutations_whose_own_checks_raise(4)}
+    for tag in TAGS:
+        # what each kind's instances add to the tag; none for round-trip and min-recovery
+        share = [report.get(tag, 0) - own.get(tag, 0) for report in alone]
+        assert min(share) >= 0 and sum(share) == failures.get(tag, 0) - own.get(tag, 0), tag
+    assert f"n=4 {first}" in {report.first_failure for report in reports}
 
 
 def test_every_tag_is_planted():
